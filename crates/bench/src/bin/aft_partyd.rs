@@ -210,7 +210,7 @@ impl Daemon {
                 continue;
             }
             let mut buf = Vec::new();
-            if !encode_envelope(self.me, &o.session, &o.payload, &mut buf) {
+            if !encode_envelope(&o.session, &o.payload, &mut buf) {
                 // Typed outputs never cross the wire; nothing honest
                 // emits one as a send, so just surface and drop.
                 eprintln!("aft-partyd: dropping non-wire payload to {}", o.to.0);
@@ -397,12 +397,17 @@ fn main() {
                 if daemon.links[from].as_ref().is_none_or(|l| l.gen != gen) {
                     continue; // stale link generation
                 }
-                let Some((src, session, payload)) = decode_envelope(&bytes) else {
+                let Some((session, payload)) = decode_envelope(&bytes) else {
                     eprintln!("aft-partyd: malformed envelope header from {from}");
                     continue;
                 };
+                // The sender is the link's peer: envelopes carry no
+                // sender field, so none can be spoofed.
                 let mut out = Vec::new();
-                if daemon.node.deliver(src, session, payload, &mut out) {
+                if daemon
+                    .node
+                    .deliver(PartyId(from), session, payload, &mut out)
+                {
                     daemon.delivered += 1;
                 }
                 daemon.dispatch(out);

@@ -21,7 +21,7 @@
 //!
 //! Exits nonzero if any cell violates an invariant or fails to reproduce.
 
-use aft_bench::{output_arg, trials};
+use aft_bench::{in_process_scenario, output_arg, trials};
 use aft_core::scenarios::{
     repro_dir, run_cell, run_cell_traced, standard_registry, write_repro_bundle, CellReport,
     StackKind,
@@ -201,15 +201,8 @@ fn run_matrix(
 
 /// Runs one scenario spec on every stack and prints the cell reports.
 fn run_single(spec: &str) {
-    let scenario = Scenario::parse(spec).unwrap_or_else(|| {
-        eprintln!("error: invalid scenario spec {spec:?}");
-        std::process::exit(2);
-    });
     let registry = standard_registry();
-    if let Err(e) = scenario.validate_attacks(&registry) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    let scenario = in_process_scenario(spec, &registry);
     println!("# scenario: {scenario}");
     let mut unsafe_cells = 0usize;
     for kind in StackKind::all() {

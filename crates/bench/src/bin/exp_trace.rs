@@ -22,7 +22,7 @@
 //!   sibling is always written alongside;
 //! * `--json` — machine-readable tables on stdout.
 
-use aft_bench::{output_arg, trace_arg, write_trace_files, Output};
+use aft_bench::{in_process_scenario, output_arg, trace_arg, write_trace_files, Output};
 use aft_core::scenarios::{
     repro_dir, run_cell_traced, standard_registry, write_repro_bundle, StackKind,
 };
@@ -54,15 +54,8 @@ fn main() {
         );
         std::process::exit(2);
     });
-    let scenario = Scenario::parse(&spec).unwrap_or_else(|| {
-        eprintln!("error: invalid scenario spec {spec:?}");
-        std::process::exit(2);
-    });
     let registry = standard_registry();
-    if let Err(e) = scenario.validate_attacks(&registry) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    let scenario = in_process_scenario(&spec, &registry);
     let seed: u64 = arg_value(&args, "--seed")
         .map(|s| {
             s.parse().unwrap_or_else(|_| {

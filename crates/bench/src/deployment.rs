@@ -1,7 +1,8 @@
 //! Process-per-party deployment: the supervisor side of `aft-partyd`.
 //!
-//! The in-process backends (`rt=sim` … `rt=proc`) all run every party in
-//! one address space. This module is the real thing: [`run_deployment`]
+//! The in-process backends (`rt=sim`, `rt=sharded:<k>`, `rt=wire`,
+//! `rt=threaded`) all run every party in one address space. This module
+//! is the real thing, and the only consumer of `rt=proc`: [`run_deployment`]
 //! takes an unmodified `Scenario` string marked `rt=proc`, spawns one
 //! `aft-partyd` OS process per party, wires them into a full TCP mesh on
 //! loopback, and supervises the run over a line-based control protocol
@@ -498,7 +499,7 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
     let (clean_spec, restarts) = split_recover_spec(&opts.spec)?;
     let scenario = Scenario::parse(&clean_spec)
         .ok_or_else(|| format!("scenario {clean_spec:?} does not parse"))?;
-    if scenario.rt != "proc" && !scenario.rt.starts_with("proc:") {
+    if !scenario.is_proc() {
         return Err(format!(
             "deployment needs rt=proc, scenario says rt={}",
             scenario.rt

@@ -23,8 +23,8 @@ use aft_core::{
     CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind, FairChoice, FairChoiceParams, Fba,
 };
 use aft_sim::{
-    runtime_by_name, Instance, Metrics, NetConfig, PartyId, Runtime, RuntimeExt, SessionId,
-    SessionTag, SilentInstance, StopReason, TraceMode,
+    runtime_by_name, AttackRegistry, Instance, Metrics, NetConfig, PartyId, Runtime, RuntimeExt,
+    Scenario, SessionId, SessionTag, SilentInstance, StopReason, TraceMode, PROC_NOT_IN_PROCESS,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,17 +56,12 @@ pub fn trials(base: u64) -> u64 {
 ///   as on `sim`.
 /// * `--runtime wire:<sched>` — the wire backend pinned to one
 ///   scheduler.
-/// * `--runtime async` — the deterministic event-loop backend (one
-///   executor task per party on the vendored `tokio` stand-in); each
-///   row's scheduler column picks the adversary, exactly as on `sim`.
-/// * `--runtime async:<sched>` — the event-loop backend pinned to one
-///   scheduler.
 /// * `--runtime threaded[:<poll_ms>]` — the OS-thread backend; scheduler
 ///   columns are ignored (the OS is the scheduler).
-/// * `--runtime proc[:<n>]` — the process-per-party stand-in (one OS
-///   thread per party in this process; scheduler columns are ignored).
-///   The real one-OS-process-per-party deployment is driven by
-///   `exp_deployment`.
+///
+/// `--runtime proc` is refused with
+/// [`PROC_NOT_IN_PROCESS`](aft_sim::PROC_NOT_IN_PROCESS): the
+/// one-OS-process-per-party deployment is driven by `exp_deployment`.
 #[derive(Debug)]
 pub struct RuntimeSpec {
     name: String,
@@ -144,7 +139,7 @@ impl RuntimeSpec {
 
     /// Whether rows parameterized by scheduler are meaningful.
     pub fn honors_schedulers(&self) -> bool {
-        self.name == "sim" || self.name == "wire" || self.name == "async" || self.bare_sharded()
+        self.name == "sim" || self.name == "wire" || self.bare_sharded()
     }
 
     /// Resolves the backend name for a row that wants scheduler `sched`.
@@ -163,21 +158,8 @@ impl RuntimeSpec {
     /// Panics on an unknown backend or scheduler name.
     pub fn make(&self, config: NetConfig, sched: &str) -> Box<dyn Runtime> {
         let name = self.backend_for(sched);
-        runtime_by_name(&name, config).unwrap_or_else(|| {
-            // `proc:<k>` pins the party count; experiments sweep n per
-            // row, so a mismatch is a usage error, not a backend bug.
-            if let Some(k) = self.name.strip_prefix("proc:") {
-                if k.parse::<usize>().is_ok_and(|k| k != config.n) {
-                    eprintln!(
-                        "error: --runtime {} pins the party count to {k}, but this \
-                         experiment row needs n={}; use --runtime proc to adapt per row",
-                        self.name, config.n
-                    );
-                    std::process::exit(2);
-                }
-            }
-            panic!("unknown runtime or scheduler: {name}")
-        })
+        runtime_by_name(&name, config)
+            .unwrap_or_else(|| panic!("unknown runtime or scheduler: {name}"))
     }
 
     /// Prints the standard one-line backend banner.
@@ -196,6 +178,25 @@ impl RuntimeSpec {
     }
 }
 
+/// Parses a `--scenario` spec for an in-process run and checks its
+/// named attacks against `registry`. Exits 2 with a usage message on any
+/// error, including an `rt=proc` spec (only `exp_deployment` runs it).
+pub fn in_process_scenario(spec: &str, registry: &AttackRegistry) -> Scenario {
+    let fail = |msg: &str| -> ! {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    };
+    let scenario =
+        Scenario::parse(spec).unwrap_or_else(|| fail(&format!("invalid scenario spec {spec:?}")));
+    if scenario.is_proc() {
+        fail(PROC_NOT_IN_PROCESS);
+    }
+    if let Err(e) = scenario.validate_attacks(registry) {
+        fail(&e);
+    }
+    scenario
+}
+
 /// Parses `--runtime <name>` / `--runtime=<name>` from the command line
 /// (default `"sim"`). Every `exp_*` binary accepts this flag; an unknown
 /// backend name exits immediately with a usage message instead of
@@ -212,20 +213,16 @@ pub fn runtime_arg() -> RuntimeSpec {
             picked = RuntimeSpec::named(name);
         }
     }
+    if picked.label().split(':').next() == Some("proc") {
+        eprintln!("error: --runtime {}: {PROC_NOT_IN_PROCESS}", picked.label());
+        std::process::exit(2);
+    }
     // Validate eagerly (per-row schedulers are resolved later, so probe
-    // with a plain scheduler; `proc:<n>` pins the party count, so the
-    // probe adopts it).
-    let probe_n = picked
-        .label()
-        .strip_prefix("proc:")
-        .and_then(|k| k.parse::<usize>().ok())
-        .filter(|&k| k >= 4)
-        .unwrap_or(4);
-    if runtime_by_name(&picked.backend_for("random"), NetConfig::new(probe_n, 1, 0)).is_none() {
+    // with a plain scheduler).
+    if runtime_by_name(&picked.backend_for("random"), NetConfig::new(4, 1, 0)).is_none() {
         eprintln!(
             "error: unknown --runtime {:?} (expected sim[:<scheduler>], \
-             wire[:<scheduler>], async[:<scheduler>], sharded:<k>[:<scheduler>], \
-             threaded[:<poll_ms>], or proc[:<n>])",
+             wire[:<scheduler>], sharded:<k>[:<scheduler>], or threaded[:<poll_ms>])",
             picked.label()
         );
         std::process::exit(2);
@@ -718,18 +715,6 @@ mod tests {
         let wire_pinned = RuntimeSpec::named("wire:fifo");
         assert!(!wire_pinned.honors_schedulers());
         assert_eq!(wire_pinned.backend_for("lifo"), "wire:fifo");
-        let event_loop = RuntimeSpec::named("async");
-        assert!(event_loop.honors_schedulers());
-        assert_eq!(event_loop.backend_for("lifo"), "async:lifo");
-        let event_loop_pinned = RuntimeSpec::named("async:fifo");
-        assert!(!event_loop_pinned.honors_schedulers());
-        assert_eq!(event_loop_pinned.backend_for("lifo"), "async:fifo");
-        let proc = RuntimeSpec::named("proc");
-        assert!(!proc.honors_schedulers());
-        assert_eq!(proc.backend_for("lifo"), "proc");
-        let proc_sized = RuntimeSpec::named("proc:4");
-        assert!(!proc_sized.honors_schedulers());
-        assert_eq!(proc_sized.backend_for("lifo"), "proc:4");
     }
 
     #[test]
@@ -749,25 +734,6 @@ mod tests {
         assert!(out.all_terminated);
         assert!(out.agreement);
         assert!(out.metrics.wire_frames > 0, "bytes moved on the wire");
-    }
-
-    #[test]
-    fn coin_runner_on_async_and_proc_backends() {
-        for name in ["async", "proc:4"] {
-            let rt = RuntimeSpec::named(name);
-            let out = run_coin(
-                &rt,
-                4,
-                1,
-                0,
-                1,
-                CoinKind::Oracle(1),
-                "random",
-                Adversary::None,
-            );
-            assert!(out.all_terminated, "{name}");
-            assert!(out.agreement, "{name}");
-        }
     }
 
     #[test]

@@ -58,8 +58,9 @@ impl CorpusEntry {
     }
 
     /// Parses [`CorpusEntry::to_line`] output; `None` on malformed lines
-    /// (including specs that no longer parse under the current grammar —
-    /// a stale corpus degrades, it doesn't wedge the searcher).
+    /// (including specs that no longer parse under the current grammar,
+    /// and `rt=proc` specs, which have no in-process runtime — a stale
+    /// corpus degrades, it doesn't wedge the searcher).
     pub fn from_line(line: &str) -> Option<CorpusEntry> {
         let (label, rest) = line.trim().split_once(' ')?;
         let (seed, spec) = rest.split_once(' ')?;
@@ -68,7 +69,7 @@ impl CorpusEntry {
             seed: seed.parse().ok()?,
             spec: spec.to_string(),
         };
-        Scenario::parse(&entry.spec)?;
+        Scenario::parse(&entry.spec).filter(|s| !s.is_proc())?;
         Some(entry)
     }
 }
@@ -649,6 +650,7 @@ mod tests {
         assert_eq!(CorpusEntry::from_line(&entry.to_line()), Some(entry));
         assert_eq!(CorpusEntry::from_line("ba 3 not-a-spec"), None);
         assert_eq!(CorpusEntry::from_line("nope 3 n=4,t=1"), None);
+        assert_eq!(CorpusEntry::from_line("ba 3 n=4,t=1,rt=proc"), None);
     }
 
     #[test]

@@ -1,39 +1,41 @@
 //! Process-per-party deployment support.
 //!
-//! Two consumers share this module:
-//!
-//! * **`rt=proc[:<n>]`** — [`ProcRuntime`], the in-process stand-in for
-//!   the real deployment. Protocol instances ([`Instance`]) are plain
-//!   trait objects and cannot cross a process boundary, so the string
-//!   spec builds one OS *thread* per party over the same dispatch core
-//!   (a thin wrapper around [`ThreadedRuntime`]); every `exp_*` binary
-//!   and cross-backend test accepts it like any other `--runtime` name.
-//! * **`aft-partyd` / `exp_deployment`** (in `aft-bench`) — the real
-//!   one-OS-process-per-party deployment. Each daemon builds its own
-//!   [`Node`] with [`party_node`] and exchanges envelopes over sockets
-//!   using [`encode_envelope`] / [`decode_envelope`], which frame the
-//!   routing header around the exact wire representation the `wire`
-//!   backend already round-trips in-process.
+//! The one-OS-process-per-party deployment lives in `aft-bench`:
+//! `exp_deployment` supervises one `aft-partyd` daemon per party, built
+//! from an unmodified `Scenario` string marked `rt=proc`. Each daemon
+//! builds its own [`Node`] with [`party_node`] and exchanges envelopes
+//! over sockets using [`encode_envelope`] / [`decode_envelope`], which
+//! frame the session header around the exact wire representation the
+//! `wire` backend already round-trips in-process. `rt=proc` has no
+//! in-process runtime: every in-process entry point refuses it with
+//! [`PROC_NOT_IN_PROCESS`].
 //!
 //! The envelope layout (all little-endian) is
 //!
 //! ```text
-//! [from: u32] [session: u8 depth, then per tag bytes(kind) + u64 index]
+//! [session: u8 depth, then per tag bytes(kind) + u64 index]
 //! [payload wire frame: kind u16, len u32, body]
 //! ```
 //!
 //! so a frame is self-describing given the process-global
 //! [`CodecRegistry`](crate::wire::CodecRegistry) — the same property the
-//! `garbage`/`equivocate` adversaries rely on.
+//! `garbage`/`equivocate` adversaries rely on. The envelope carries no
+//! sender: the receiver attributes it to the peer on the other end of
+//! the link it arrived on, so a byte-level peer cannot claim to be
+//! another party (the model's authenticated channels).
 
-use crate::ids::{PartyId, SessionId};
-use crate::instance::Instance;
+use crate::ids::SessionId;
 use crate::node::Node;
 use crate::payload::Payload;
-use crate::runtime::{build_node, Metrics, NetConfig, RunReport, Runtime};
-use crate::threaded::ThreadedRuntime;
-use crate::trace::{TraceMode, TraceSink};
-use crate::wire::{get_session, put_session, WireReader, WireWriter};
+use crate::runtime::{build_node, NetConfig};
+use crate::wire::{get_session, put_session, WireReader};
+
+/// Why an in-process entry point refuses `rt=proc`: the scenario marker
+/// names the one-OS-process-per-party deployment, which only the
+/// `exp_deployment` supervisor runs.
+pub const PROC_NOT_IN_PROCESS: &str = "rt=proc runs one OS process per party and has no \
+     in-process runtime: run it with `exp_deployment --scenario '<spec>'` (aft-bench), or \
+     pick rt=sim, rt=sharded:<k>, rt=wire or rt=threaded";
 
 /// Builds party `party`'s [`Node`] for a configured system — the same
 /// constructor (and per-party RNG derivation) every in-process backend
@@ -43,19 +45,13 @@ pub fn party_node(config: &NetConfig, party: usize) -> Node {
     build_node(config, party)
 }
 
-/// Appends one routed envelope (`from`, `session`, `payload`) to `out`.
+/// Appends one envelope (`session`, `payload`) to `out`.
 ///
 /// Returns `false` — leaving `out` untouched — when `payload` has no
 /// wire identity (a typed output), which never legitimately crosses a
 /// process boundary.
-pub fn encode_envelope(
-    from: PartyId,
-    session: &SessionId,
-    payload: &Payload,
-    out: &mut Vec<u8>,
-) -> bool {
+pub fn encode_envelope(session: &SessionId, payload: &Payload, out: &mut Vec<u8>) -> bool {
     let mark = out.len();
-    WireWriter::u32(out, from.0 as u32);
     put_session(out, session);
     if payload.encode_wire_frame(out) {
         true
@@ -71,108 +67,23 @@ pub fn encode_envelope(
 /// first typed access through the process-global codec registry), so a
 /// malformed body is charged to the receiving instance as a decode
 /// miss — exactly the `wire` backend's semantics — rather than failing
-/// here. Returns `None` only when the routing header itself is
-/// malformed.
-pub fn decode_envelope(bytes: &[u8]) -> Option<(PartyId, SessionId, Payload)> {
+/// here. Returns `None` only when the session header itself is
+/// malformed. The sender is the link's peer, never a field of the
+/// envelope.
+pub fn decode_envelope(bytes: &[u8]) -> Option<(SessionId, Payload)> {
     let mut r = WireReader::new(bytes);
-    let from = PartyId(r.u32()? as usize);
     let session = get_session(&mut r)?;
     let frame = r.rest();
     if frame.len() < crate::wire::FRAME_HEADER_LEN {
         return None;
     }
-    Some((from, session, Payload::from_wire_global(frame.to_vec())))
-}
-
-/// The in-process stand-in for the process-per-party deployment
-/// (`rt=proc` / `rt=proc:<n>`).
-///
-/// One OS thread per party over the shared dispatch core — real OS
-/// scheduling, no determinism, no virtual clock. It exists so an
-/// unmodified `Scenario` string marked `rt=proc` runs in every `exp_*`
-/// binary and test harness; the *real* multi-process deployment
-/// (one `aft-partyd` OS process per party, supervised crash/restart)
-/// is driven by `exp_deployment` in `aft-bench`, which spawns daemons
-/// from the same scenario string instead of building a `Runtime`.
-///
-/// Scheduled recovery needs a virtual clock and a supervisor, neither
-/// of which exists in-process: [`schedule_recover`](Runtime::schedule_recover)
-/// reports `false` (the party stays crashed), while `exp_deployment`
-/// maps `corrupt=recover:<vt>@p` onto a real SIGKILL + respawn.
-///
-/// # Examples
-///
-/// ```
-/// use aft_sim::{runtime_by_name, NetConfig};
-/// let rt = runtime_by_name("proc:4", NetConfig::new(4, 1, 7)).unwrap();
-/// assert_eq!(rt.backend_name(), "proc");
-/// ```
-pub struct ProcRuntime {
-    inner: ThreadedRuntime,
-}
-
-impl ProcRuntime {
-    /// Builds the stand-in: one worker thread per party.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `n < 3t + 1` (see [`ThreadedRuntime::new`]).
-    pub fn new(config: NetConfig) -> Self {
-        ProcRuntime {
-            inner: ThreadedRuntime::new(config),
-        }
-    }
-}
-
-impl Runtime for ProcRuntime {
-    fn config(&self) -> &NetConfig {
-        self.inner.config()
-    }
-
-    fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
-        self.inner.spawn(party, session, instance);
-    }
-
-    fn crash(&mut self, party: PartyId) {
-        self.inner.crash(party);
-    }
-
-    fn run(&mut self, max_steps: u64) -> RunReport {
-        self.inner.run(max_steps)
-    }
-
-    fn output(&self, party: PartyId, session: &SessionId) -> Option<&Payload> {
-        self.inner.output(party, session)
-    }
-
-    fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        self.inner.retire_session(party, session)
-    }
-
-    fn metrics(&self) -> Metrics {
-        Runtime::metrics(&self.inner)
-    }
-
-    fn set_trace(&mut self, mode: TraceMode) {
-        self.inner.set_trace(mode);
-    }
-
-    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.inner.take_trace()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "proc"
-    }
+    Some((session, Payload::from_wire_global(frame.to_vec())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::SessionTag;
-    use crate::instance::Context;
-    use crate::runtime::{runtime_by_name, StopReason};
-    use crate::RuntimeExt;
+    use crate::ids::{PartyId, SessionTag};
 
     fn sid() -> SessionId {
         SessionId::root().child(SessionTag::new("dep", 0))
@@ -183,9 +94,12 @@ mod tests {
         let session = sid().child(SessionTag::new("inner", 3));
         let payload = Payload::message(0xA5u8);
         let mut buf = Vec::new();
-        assert!(encode_envelope(PartyId(2), &session, &payload, &mut buf));
-        let (from, got_session, got) = decode_envelope(&buf).expect("well-formed");
-        assert_eq!(from, PartyId(2));
+        assert!(encode_envelope(&session, &payload, &mut buf));
+        // No sender field: the envelope opens with the session header.
+        let mut header = Vec::new();
+        put_session(&mut header, &session);
+        assert!(buf.starts_with(&header), "layout is [session][frame]");
+        let (got_session, got) = decode_envelope(&buf).expect("well-formed");
         assert_eq!(got_session, session);
         assert_eq!(got.to_msg::<u8>(), Some(0xA5));
     }
@@ -195,19 +109,18 @@ mod tests {
         let payload = Payload::new("not a wire message".to_string());
         let mut buf = Vec::new();
         assert!(
-            !encode_envelope(PartyId(0), &sid(), &payload, &mut buf),
+            !encode_envelope(&sid(), &payload, &mut buf),
             "typed outputs have no wire identity"
         );
         assert!(buf.is_empty(), "failed encode leaves the buffer untouched");
 
         let mut ok = Vec::new();
-        assert!(encode_envelope(
-            PartyId(1),
-            &sid(),
-            &Payload::message(true),
-            &mut ok
-        ));
-        for cut in 0..ok.len().min(6) {
+        assert!(encode_envelope(&sid(), &Payload::message(true), &mut ok));
+        // Every cut short of a full session header plus frame header is
+        // refused; the body itself is checked lazily at the receiver.
+        let mut header = Vec::new();
+        put_session(&mut header, &sid());
+        for cut in 0..header.len() + crate::wire::FRAME_HEADER_LEN {
             assert!(decode_envelope(&ok[..cut]).is_none(), "cut={cut}");
         }
     }
@@ -220,39 +133,5 @@ mod tests {
         let node = party_node(&config, 2);
         assert_eq!(node.id(), PartyId(2));
         assert!(!node.is_crashed());
-    }
-
-    /// Greets everyone; outputs after hearing from all n parties.
-    struct Hello {
-        heard: usize,
-    }
-    impl Instance for Hello {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.send_all(1u8);
-        }
-        fn on_message(&mut self, _f: PartyId, _p: &Payload, ctx: &mut Context<'_>) {
-            self.heard += 1;
-            if self.heard == ctx.n() {
-                ctx.output(self.heard);
-            }
-        }
-    }
-
-    #[test]
-    fn proc_runtime_runs_like_threaded() {
-        let mut rt = runtime_by_name("proc:4", NetConfig::new(4, 1, 7)).unwrap();
-        assert_eq!(rt.backend_name(), "proc");
-        for p in 0..4 {
-            rt.spawn(PartyId(p), sid(), Box::new(Hello { heard: 0 }));
-        }
-        let report = rt.run(1_000_000);
-        assert_eq!(report.stop, StopReason::Quiescent);
-        for p in 0..4 {
-            assert_eq!(rt.output_as::<usize>(PartyId(p), &sid()), Some(&4), "{p}");
-        }
-        // No supervisor in-process: scheduled recovery is refused.
-        let mut rt = runtime_by_name("proc", NetConfig::new(4, 1, 7)).unwrap();
-        rt.crash(PartyId(3));
-        assert!(!rt.schedule_recover(PartyId(3), 50, sid(), Box::new(Hello { heard: 0 })));
     }
 }

@@ -41,18 +41,14 @@
 //!   [`wire`] codec module), round-tripped through a per-party OS socket
 //!   pair, and decoded lazily at the receiver — the byte-level seam the
 //!   `garbage`/`equivocate` adversaries fuzz with malformed frames;
-//! * [`AsyncRuntime`] — the async event-loop backend: every party runs
-//!   as a task on a single-threaded executor and each delivery
-//!   round-trips through per-party channels, while all scheduling stays
-//!   in the deterministic network — bit-for-bit the simulator's
-//!   schedule under any deterministic scheduler family;
 //! * [`ThreadedRuntime`] — real OS threads and channels (genuine
-//!   asynchrony, no determinism);
-//! * [`ProcRuntime`] — the in-process stand-in for the process-per-party
-//!   deployment (`rt=proc`); the real one-OS-process-per-party
-//!   deployment with supervised crash/restart lives in `aft-bench`
-//!   (`aft-partyd` + `exp_deployment`) on top of [`deploy`]'s envelope
-//!   codec.
+//!   asynchrony, no determinism).
+//!
+//! The one-OS-process-per-party deployment (`rt=proc`, with supervised
+//! crash/restart) is not a `Runtime`: it lives in `aft-bench`
+//! (`aft-partyd` + `exp_deployment`) on top of [`deploy`]'s envelope
+//! codec, and in-process entry points reject `rt=proc` with
+//! [`PROC_NOT_IN_PROCESS`].
 //!
 //! [`runtime_by_name`] builds any of them from a string, which is what the
 //! `exp_*` binaries' `--runtime` flags and the cross-backend test suites
@@ -63,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-mod async_rt;
 mod behaviors;
 pub mod cluster;
 pub mod deploy;
@@ -88,9 +83,8 @@ pub use adaptive::{
     AdaptiveAttack, AdaptiveController, AdaptiveShell, CorruptMode, CorruptionPlan, ObsEvent,
     PinPolicy, SharedAdaptive,
 };
-pub use async_rt::AsyncRuntime;
 pub use behaviors::{Equivocator, Garbage, GarbageInstance, MuteAfter, SilentInstance};
-pub use deploy::{decode_envelope, encode_envelope, party_node, ProcRuntime};
+pub use deploy::{decode_envelope, encode_envelope, party_node, PROC_NOT_IN_PROCESS};
 pub use ids::{PartyId, SessionId, SessionTag};
 pub use instance::{Context, Instance};
 pub use montecarlo::{run_trials, Bernoulli};

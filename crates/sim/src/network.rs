@@ -8,8 +8,8 @@ use crate::node::{Node, Outgoing};
 use crate::payload::Payload;
 use crate::queue::Pending;
 use crate::runtime::{
-    account_delivery, build_node, deliver_raw, DeliverCtx, DeliverStatus, DeliveryOutcome, Metrics,
-    NetConfig, RecoverPlan, RunReport, Runtime, StopReason, REJOIN_GRACE,
+    account_delivery, build_node, deliver_raw, DeliverCtx, DeliverStatus, Metrics, NetConfig,
+    RecoverPlan, RunReport, Runtime, StopReason, REJOIN_GRACE,
 };
 use crate::scheduler::Scheduler;
 use crate::trace::{TraceEvent, TraceMode, TraceSink};
@@ -32,36 +32,6 @@ pub struct Envelope {
     pub seq: u64,
     /// Delivery step at which the envelope was sent.
     pub born_step: u64,
-}
-
-/// Where the network's node-side work actually executes.
-///
-/// Normally `SimNetwork` owns its [`Node`]s and dispatches inline. A
-/// backend that wants the *same* schedule but different execution (the
-/// async event-loop backend runs each party as a task) takes the nodes
-/// out, installs a host, and the network routes every node operation —
-/// delivery dispatch, crash, recovery revival, spawn — through it while
-/// keeping all scheduling, metrics and tracing itself. The step
-/// sequence is therefore bit-for-bit identical with and without a host.
-pub(crate) trait StepHost {
-    /// Dispatches `env` to its destination party, returning the
-    /// delivery's outcome and the envelopes it emitted.
-    fn deliver(&mut self, env: Envelope) -> (DeliveryOutcome, Vec<Outgoing>);
-    /// Crashes `party`'s node.
-    fn crash(&mut self, party: PartyId);
-    /// Recovery phase 1: un-crashes `party` and retires its stale
-    /// `session` slot.
-    fn revive(&mut self, party: PartyId, session: &SessionId);
-    /// Spawns `instance` on `party`, returning its initial sends.
-    fn spawn(
-        &mut self,
-        party: PartyId,
-        session: SessionId,
-        instance: Box<dyn Instance>,
-    ) -> Vec<Outgoing>;
-    /// Tears the host down and hands the nodes back, in party order, so
-    /// the network can resume inline dispatch (and serve outputs).
-    fn finish(self: Box<Self>) -> Vec<Node>;
 }
 
 /// The deterministic discrete-event network: `n` nodes, a slab of in-flight
@@ -138,11 +108,6 @@ pub struct SimNetwork {
     /// Adaptive-adversary controller, if an adaptive scenario installed
     /// one: fed schedule-stable observation events at each delivery.
     adaptive: Option<SharedAdaptive>,
-    /// When installed, node-side work (dispatch, crash, revive, spawn)
-    /// executes through this host instead of `self.nodes` — see
-    /// [`StepHost`]. The async backend installs one for the duration of
-    /// each `run`.
-    host: Option<Box<dyn StepHost>>,
 }
 
 impl SimNetwork {
@@ -181,30 +146,7 @@ impl SimNetwork {
             scratch: Vec::new(),
             codec: None,
             adaptive: None,
-            host: None,
         }
-    }
-
-    /// Takes the nodes out, leaving the network node-less — pair with
-    /// [`set_host`](SimNetwork::set_host) so node work still has
-    /// somewhere to run, and [`put_nodes`](SimNetwork::put_nodes) after.
-    pub(crate) fn take_nodes(&mut self) -> Vec<Node> {
-        std::mem::take(&mut self.nodes)
-    }
-
-    /// Puts nodes taken by [`take_nodes`](SimNetwork::take_nodes) back.
-    pub(crate) fn put_nodes(&mut self, nodes: Vec<Node>) {
-        self.nodes = nodes;
-    }
-
-    /// Routes subsequent node-side work through `host`.
-    pub(crate) fn set_host(&mut self, host: Box<dyn StepHost>) {
-        self.host = Some(host);
-    }
-
-    /// Removes the installed host, returning it for teardown.
-    pub(crate) fn clear_host(&mut self) -> Option<Box<dyn StepHost>> {
-        self.host.take()
     }
 
     /// Creates a network whose envelopes round-trip through the wire
@@ -242,10 +184,7 @@ impl SimNetwork {
     /// Spawns `instance` for `party` at `session` and injects its initial
     /// sends.
     pub fn spawn(&mut self, party: PartyId, session: SessionId, instance: Box<dyn Instance>) {
-        let mut out = match &mut self.host {
-            Some(host) => host.spawn(party, session, instance),
-            None => self.nodes[party.0].spawn(session, instance),
-        };
+        let mut out = self.nodes[party.0].spawn(session, instance);
         // Spawn-phase sends have no causal parent: they are DAG roots.
         self.enqueue(party, &mut out, None);
     }
@@ -279,10 +218,7 @@ impl SimNetwork {
     /// match the backends that buffer spawns until `run` (threaded,
     /// sharded).
     pub fn crash(&mut self, party: PartyId) {
-        match &mut self.host {
-            Some(host) => host.crash(party),
-            None => self.nodes[party.0].crash(),
-        }
+        self.nodes[party.0].crash();
         self.muted[party.0] = true;
         if !self.started {
             for env in self.pending.retract_from(party) {
@@ -408,20 +344,14 @@ impl SimNetwork {
                 .then(|| env.session.last().map_or("root", |t| t.kind));
             let (to, from, seq) = (env.to, env.from, env.seq);
             let session_for_trace = self.sink.is_some().then(|| env.session.clone());
-            let (outcome, mut out, local) = if let Some(host) = &mut self.host {
-                let (outcome, out) = host.deliver(env);
-                (outcome, out, false)
-            } else {
-                let mut out = std::mem::take(&mut self.scratch);
-                let outcome = deliver_raw(
-                    &mut self.nodes[to.0],
-                    from,
-                    env.session,
-                    env.payload,
-                    &mut out,
-                );
-                (outcome, out, true)
-            };
+            let mut out = std::mem::take(&mut self.scratch);
+            let outcome = deliver_raw(
+                &mut self.nodes[to.0],
+                from,
+                env.session,
+                env.payload,
+                &mut out,
+            );
             account_delivery(
                 DeliverCtx {
                     to,
@@ -454,9 +384,7 @@ impl SimNetwork {
             // that just ran (its step index is the post-increment count).
             let parent = self.metrics.steps;
             self.enqueue(to, &mut out, Some(parent));
-            if local {
-                self.scratch = out;
-            }
+            self.scratch = out;
         }
         run
     }
@@ -703,14 +631,9 @@ impl SimNetwork {
 
     /// Recovery phase 1 for one party.
     fn revive(&mut self, party: PartyId, at: u64, session: &SessionId) {
-        match &mut self.host {
-            Some(host) => host.revive(party, session),
-            None => {
-                self.nodes[party.0].recover();
-                self.nodes[party.0].retire_session(session);
-            }
-        }
+        self.nodes[party.0].recover();
         self.muted[party.0] = false;
+        self.nodes[party.0].retire_session(session);
         if let Some(sink) = &mut self.sink {
             sink.record(TraceEvent::Recover {
                 step: self.metrics.steps,

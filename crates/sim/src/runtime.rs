@@ -355,9 +355,11 @@ pub(crate) enum DeliverStatus {
 
 /// Everything a delivery changed at the node, reported back to whoever
 /// owns the metrics. Produced by [`deliver_raw`], consumed by
-/// [`account_delivery`] — splitting dispatch from accounting lets a
-/// backend run the node on another task or process while the network
-/// keeps the books.
+/// [`account_delivery`] — splitting dispatch from accounting lets
+/// [`SimNetwork`](crate::SimNetwork) read the delivery's status (its
+/// adaptive observer sees only accepted deliveries) without a second
+/// look at the node; [`deliver_counted`] fuses the halves for the
+/// sharded and threaded backends.
 #[derive(Debug)]
 pub(crate) struct DeliveryOutcome {
     /// How the delivery resolved.
@@ -768,21 +770,13 @@ impl<R: Runtime + ?Sized> RuntimeExt for R {}
 ///   [`CodecRegistry`](crate::wire::CodecRegistry) snapshot;
 /// * `"wire:<scheduler>"` — the wire runtime with any
 ///   [`scheduler_by_name`](crate::scheduler_by_name) scheduler;
-/// * `"async"` — the event-loop runtime
-///   ([`AsyncRuntime`](crate::AsyncRuntime)): every party runs as a task
-///   on a single-threaded executor and deliveries round-trip through
-///   per-party channels, with the random scheduler picking the order;
-/// * `"async:<scheduler>"` — the event-loop runtime with any
-///   [`scheduler_by_name`](crate::scheduler_by_name) scheduler;
-/// * `"proc"` / `"proc:<n>"` — the in-process stand-in for the
-///   process-per-party deployment ([`ProcRuntime`](crate::ProcRuntime)):
-///   one OS thread per party, OS scheduling, `<n>` (when given) must
-///   equal the configured party count. The *real* multi-process
-///   deployment is driven by the `aft-partyd` binary and the
-///   `exp_deployment` supervisor in `aft-bench`;
 /// * `"threaded"` — OS-thread runtime with the default poll interval;
 /// * `"threaded:<millis>"` — OS-thread runtime with an explicit idle-poll
 ///   interval in milliseconds.
+///
+/// `"proc"` is not a runtime: `rt=proc` scenarios run one OS process
+/// per party under the `exp_deployment` supervisor in `aft-bench`
+/// (see [`PROC_NOT_IN_PROCESS`](crate::PROC_NOT_IN_PROCESS)).
 ///
 /// # Examples
 ///
@@ -793,14 +787,9 @@ impl<R: Runtime + ?Sized> RuntimeExt for R {}
 /// assert_eq!(runtime_by_name("threaded", config).unwrap().backend_name(), "threaded");
 /// assert_eq!(runtime_by_name("sharded:4", config).unwrap().backend_name(), "sharded");
 /// assert_eq!(runtime_by_name("wire", config).unwrap().backend_name(), "wire");
-/// assert_eq!(runtime_by_name("async", config).unwrap().backend_name(), "async");
-/// assert_eq!(runtime_by_name("proc", config).unwrap().backend_name(), "proc");
 /// assert!(runtime_by_name("sim:window8", config).is_some());
 /// assert!(runtime_by_name("wire:lifo", config).is_some());
-/// assert!(runtime_by_name("async:lifo", config).is_some());
 /// assert!(runtime_by_name("sharded:2:lifo", config).is_some());
-/// assert!(runtime_by_name("proc:4", config).is_some());
-/// assert!(runtime_by_name("proc:5", config).is_none(), "party-count mismatch");
 /// assert!(runtime_by_name("sharded:0", config).is_none());
 /// assert!(runtime_by_name("hovercraft", config).is_none());
 /// ```
@@ -853,28 +842,6 @@ pub fn runtime_by_name(name: &str, config: NetConfig) -> Option<Box<dyn Runtime>
                 }))
             }
         });
-    }
-    if name == "async" {
-        return Some(Box::new(crate::async_rt::AsyncRuntime::new(
-            config,
-            Box::new(crate::scheduler::RandomScheduler),
-        )));
-    }
-    if let Some(sched) = name.strip_prefix("async:") {
-        return Some(Box::new(crate::async_rt::AsyncRuntime::new(
-            config,
-            crate::scheduler_by_name(sched)?,
-        )));
-    }
-    if name == "proc" {
-        return Some(Box::new(crate::deploy::ProcRuntime::new(config)));
-    }
-    if let Some(k) = name.strip_prefix("proc:") {
-        let k: usize = k.parse().ok()?;
-        if k != config.n {
-            return None;
-        }
-        return Some(Box::new(crate::deploy::ProcRuntime::new(config)));
     }
     if name == "threaded" {
         return Some(Box::new(ThreadedRuntime::new(config)));
@@ -1024,6 +991,10 @@ mod tests {
         assert!(runtime_by_name("sim:bogus", config).is_none());
         assert!(runtime_by_name("threaded:abc", config).is_none());
         assert!(runtime_by_name("", config).is_none());
+        // `proc` is a deployment marker, not a runtime.
+        for name in ["async", "async:lifo", "proc", "proc:4"] {
+            assert!(runtime_by_name(name, config).is_none(), "{name}");
+        }
     }
 
     /// One randomized bookkeeping op against a `Metrics`.

@@ -32,6 +32,9 @@
 //! distinct victims (statically corrupted parties count against the cap).
 //! At most one adaptive entry per scenario; adaptive plans require a
 //! deterministic backend (`rt=threaded` and `rt=proc` are rejected).
+//! `rt=proc[:<n>]` marks a scenario for the one-OS-process-per-party
+//! deployment: it parses, but only the `exp_deployment` supervisor runs
+//! it ([`Scenario::runtime`] refuses it).
 //!
 //! `t` defaults to `⌊(n−1)/3⌋`, `sched` to `random`, `rt` to `sim`. Only
 //! the five field keys above start a new field: any other comma-separated
@@ -356,17 +359,39 @@ impl Scenario {
             if !valid_attack_name(&spec.name) {
                 return Err(format!("invalid adaptive attack name {:?}", spec.name));
             }
-            let nondeterministic = ["threaded", "proc"]
-                .iter()
-                .any(|family| self.rt == *family || self.rt.starts_with(&format!("{family}:")));
-            if nondeterministic {
+            if matches!(self.rt_family(), "threaded" | "proc") {
                 return Err(format!(
                     "adaptive:{}@* needs a deterministic backend to honor replay: use \
-                     rt=sim, rt=async, rt=sharded:<k> or rt=wire ({} schedules are \
-                     OS-timing dependent)",
+                     rt=sim, rt=sharded:<k> or rt=wire ({} schedules are OS-timing \
+                     dependent)",
                     spec.name,
-                    self.rt.split(':').next().unwrap_or(&self.rt)
+                    self.rt_family()
                 ));
+            }
+        }
+        if let Some(c) = self
+            .corruptions
+            .iter()
+            .find(|c| matches!(c.fault, FaultSpec::Recover(_)))
+        {
+            match self.rt_family() {
+                "threaded" => {
+                    return Err(format!(
+                        "recover:<vt>@{} needs a virtual clock and rt=threaded has none \
+                         (the OS schedules it and ignores sched=): use rt=sim, \
+                         rt=sharded:<k> or rt=wire with a sched=net: scheduler",
+                        c.party.0
+                    ))
+                }
+                "proc" => {
+                    return Err(format!(
+                        "recover:<vt>@{} on rt=proc is supervisor-driven: run the \
+                         scenario through exp_deployment, which maps it onto SIGKILL + \
+                         respawn",
+                        c.party.0
+                    ))
+                }
+                _ => {}
             }
         }
         if crate::scheduler_by_name(&self.sched).is_none() {
@@ -421,22 +446,8 @@ impl Scenario {
                 c.party.0
             ));
         }
-        if self.rt == "proc" || self.rt.starts_with("proc:") {
-            if let Some(c) = self
-                .corruptions
-                .iter()
-                .find(|c| matches!(c.fault, FaultSpec::Recover(_)))
-            {
-                return Err(format!(
-                    "recover:<vt>@{} on rt=proc is supervisor-driven: run the scenario \
-                     through exp_deployment (which maps it onto SIGKILL + respawn) — \
-                     the in-process proc stand-in has no virtual clock",
-                    c.party.0
-                ));
-            }
-        }
         let rt_ok = match self.rt.as_str() {
-            "sim" | "threaded" | "wire" | "async" | "proc" => true,
+            "sim" | "threaded" | "wire" | "proc" => true,
             other => {
                 if other.starts_with("wire:") || other == "wire:" {
                     // The most likely authoring mistake on wire cells:
@@ -446,12 +457,6 @@ impl Scenario {
                     return Err(format!(
                         "runtime {other:?} takes no arguments: write rt=wire and put the \
                          scheduler in sched= (wire cells compose as wire:<sched> internally)"
-                    ));
-                }
-                if other.starts_with("async:") || other == "async:" {
-                    return Err(format!(
-                        "runtime {other:?} takes no arguments: write rt=async and put the \
-                         scheduler in sched= (async cells compose as async:<sched> internally)"
                     ));
                 }
                 if let Some(k) = other.strip_prefix("proc:") {
@@ -478,8 +483,8 @@ impl Scenario {
         };
         if !rt_ok {
             return Err(format!(
-                "unknown runtime {:?} (expected sim, wire, async, sharded:<k>, \
-                 proc[:<n>], or threaded[:<poll_ms>])",
+                "unknown runtime {:?} (expected sim, wire, sharded:<k>, \
+                 threaded[:<poll_ms>], or proc[:<n>] for exp_deployment)",
                 self.rt
             ));
         }
@@ -511,7 +516,6 @@ impl Scenario {
         match self.rt.as_str() {
             "sim" => format!("sim:{}", self.sched),
             "wire" => format!("wire:{}", self.sched),
-            "async" => format!("async:{}", self.sched),
             rt if rt.starts_with("sharded:") => format!("{rt}:{}", self.sched),
             rt => rt.to_string(),
         }
@@ -522,13 +526,28 @@ impl Scenario {
         NetConfig::new(self.n, self.t, seed)
     }
 
+    /// The runtime family: `rt` up to its first `:`.
+    fn rt_family(&self) -> &str {
+        self.rt.split(':').next().unwrap_or(&self.rt)
+    }
+
+    /// Whether this scenario is marked `rt=proc[:<n>]`: one OS process
+    /// per party under the `exp_deployment` supervisor, with no
+    /// in-process runtime.
+    pub fn is_proc(&self) -> bool {
+        self.rt_family() == "proc"
+    }
+
     /// Builds the scenario's runtime for one seeded run.
     ///
     /// # Panics
     ///
-    /// Panics if the scenario was constructed by hand with specs that
-    /// don't pass [`Scenario::validate`] (parsed scenarios always do).
+    /// Panics with [`PROC_NOT_IN_PROCESS`](crate::PROC_NOT_IN_PROCESS)
+    /// on an `rt=proc` scenario, and if the scenario was constructed by
+    /// hand with specs that don't pass [`Scenario::validate`] (parsed
+    /// scenarios always do).
     pub fn runtime(&self, seed: u64) -> Box<dyn Runtime> {
+        assert!(!self.is_proc(), "{}", crate::PROC_NOT_IN_PROCESS);
         let name = self.backend_name();
         runtime_by_name(&name, self.config(seed))
             .unwrap_or_else(|| panic!("invalid scenario backend {name:?}"))
@@ -1154,30 +1173,26 @@ mod tests {
             "n=4,t=1,corrupt=recover:50@1",                            // recover needs sched=net:
             "n=4,rt=hovercraft",                                       // unknown runtime
             "n=4,rt=sharded:0",                                        // zero shards
-            "n=4,rt=sim:lifo",   // scheduler belongs in sched=
-            "n=4,rt=wire:lifo",  // ditto for the wire backend
-            "n=4,rt=wire:",      // malformed wire spec
-            "n=4,rt=async:lifo", // ditto for the async backend
-            "n=4,rt=async:",     // malformed async spec
-            "n=4,rt=proc:5",     // party-count mismatch
-            "n=4,rt=proc:x",     // malformed party count
+            "n=4,rt=sim:lifo",  // scheduler belongs in sched=
+            "n=4,rt=wire:lifo", // ditto for the wire backend
+            "n=4,rt=wire:",     // malformed wire spec
+            "n=4,rt=async",     // removed backend
+            "n=4,rt=proc:5",    // party-count mismatch
+            "n=4,rt=proc:x",    // malformed party count
             "n=4,t=1,corrupt=recover:50@3,sched=net:lat=1..4,rt=proc", // supervisor-only
-            "n=4,zzz=1",         // unknown field
-            "n=four",            // malformed n
+            // recover: needs a virtual clock, which the OS-thread backend lacks
+            "n=4,t=1,corrupt=recover:50@3,sched=net:lat=1..4,rt=threaded",
+            "n=4,zzz=1", // unknown field
+            "n=four",    // malformed n
         ] {
             assert!(Scenario::parse(bad).is_none(), "{bad:?} must not parse");
         }
     }
 
     #[test]
-    fn async_and_proc_cells_parse_and_misuse_gets_a_clear_error() {
-        let s = Scenario::parse("n=4,t=1,corrupt=silent@2,sched=lifo,rt=async").unwrap();
-        assert_eq!(s.backend_name(), "async:lifo");
-        assert_eq!(
-            s.to_string(),
-            "n=4,t=1,corrupt=silent@2,sched=lifo,rt=async"
-        );
+    fn proc_cells_parse_and_misuse_gets_a_clear_error() {
         let s = Scenario::parse("n=4,t=1,rt=proc").unwrap();
+        assert!(s.is_proc());
         assert_eq!(
             s.backend_name(),
             "proc",
@@ -1185,12 +1200,8 @@ mod tests {
         );
         let s = Scenario::parse("n=4,t=1,rt=proc:4").unwrap();
         assert_eq!(s.backend_name(), "proc:4");
-
-        // Scheduler jammed into rt=async: the error names the fix.
-        let mut bad = Scenario::honest(4, 1);
-        bad.rt = "async:lifo".into();
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("sched="), "targeted message, got: {err}");
+        assert!(s.is_proc());
+        assert!(!Scenario::honest(4, 1).is_proc());
         // Party-count mismatch on proc names both numbers.
         let mut bad = Scenario::honest(4, 1);
         bad.rt = "proc:7".into();
@@ -1218,7 +1229,13 @@ mod tests {
         });
         let err = bad.validate().unwrap_err();
         assert!(err.contains("deterministic"), "{err}");
-        assert!(err.contains("rt=async"), "lists the async backend: {err}");
+        assert!(!err.contains("async"), "lists only live backends: {err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exp_deployment")]
+    fn proc_scenarios_have_no_in_process_runtime() {
+        Scenario::parse("n=4,t=1,rt=proc").unwrap().runtime(1);
     }
 
     #[test]
@@ -1268,6 +1285,14 @@ mod tests {
         }];
         let err = s.validate().unwrap_err();
         assert!(err.contains("sched=net:"), "{err}");
+        // ... and rt=threaded has no virtual clock, whatever the sched=.
+        for sched in ["random", "net:lat=1..4"] {
+            s.sched = sched.into();
+            s.rt = "threaded:5".into();
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("virtual clock"), "{sched}: {err}");
+            assert!(err.contains("rt=threaded"), "{sched}: {err}");
+        }
     }
 
     #[test]
@@ -1276,7 +1301,7 @@ mod tests {
         // broadcast is retracted, the pre-recovery deliveries to it are
         // dropped-and-counted, and the respawned instance broadcasts after
         // rejoining — observable as 4 extra sends on every backend.
-        for rt_name in ["sim", "sharded:2", "wire", "async"] {
+        for rt_name in ["sim", "sharded:2", "wire"] {
             let spec = format!("n=4,t=1,corrupt=recover:50@3,sched=net:lat=1..4,rt={rt_name}");
             let s = Scenario::parse(&spec).unwrap();
             let mut rt = s.runtime(9);
@@ -1318,8 +1343,6 @@ mod tests {
         assert_eq!(s.backend_name(), "sharded:4:lifo");
         s.rt = "threaded".into();
         assert_eq!(s.backend_name(), "threaded");
-        s.rt = "async".into();
-        assert_eq!(s.backend_name(), "async:lifo");
         s.rt = "proc".into();
         assert_eq!(s.backend_name(), "proc");
     }
@@ -1557,7 +1580,7 @@ mod tests {
     fn deploy_adaptive_pin_mutes_target() {
         // adaptive:pin:silent:3@* behaves exactly like silent@3: party 3
         // never outputs, everyone else does.
-        for rt_name in ["sim", "sharded:2", "wire", "async"] {
+        for rt_name in ["sim", "sharded:2", "wire"] {
             let spec = format!("n=4,t=1,corrupt=adaptive:pin:silent:3@*,sched=fifo,rt={rt_name}");
             let s = Scenario::parse(&spec).unwrap();
             let reg = AttackRegistry::new();

@@ -5,10 +5,9 @@
 //! A fixed [`ScenarioMatrix`] sweeps the BA and SVSS share→rec stacks
 //! across backends × schedulers × fault plans × seeds:
 //!
-//! * **backends** — `sim`, `sharded:1`, `sharded:4`, `wire`, `async`
-//!   (the deterministic set — `wire` round-trips every envelope through
-//!   the byte codec and per-party OS sockets, `async` dispatches every
-//!   delivery into per-party event-loop tasks; the threaded backend is
+//! * **backends** — `sim`, `sharded:1`, `sharded:4`, `wire` (the
+//!   deterministic set — `wire` round-trips every envelope through the
+//!   byte codec and per-party OS sockets; the threaded backend is
 //!   exercised separately below, since its schedules are not
 //!   reproducible);
 //! * **schedulers** — every family in [`ALL_SCHEDULERS`], so a newly
@@ -34,7 +33,7 @@
 use aft::core::scenarios::{run_cell, standard_registry, CellReport, StackKind};
 use aft::sim::{MatrixCell, Scenario, ScenarioMatrix, ALL_SCHEDULERS};
 
-const BACKENDS: &[&str] = &["sim", "sharded:1", "sharded:4", "wire", "async"];
+const BACKENDS: &[&str] = &["sim", "sharded:1", "sharded:4", "wire"];
 const SEEDS: &[u64] = &[5, 6];
 const THREADS: usize = 8;
 
@@ -168,7 +167,7 @@ fn common_subset_matrix_is_safe_and_reproducible() {
 fn pooling_is_active_but_invisible_to_conformance() {
     use aft::ba::{BinaryBa, OracleCoin};
     use aft::sim::{runtime_by_name, NetConfig, PartyId, SessionId, SessionTag};
-    for backend in ["sim", "sharded:4", "wire", "async"] {
+    for backend in ["sim", "sharded:4", "wire"] {
         let mut rt = runtime_by_name(backend, NetConfig::new(4, 1, 7)).unwrap();
         let sid = SessionId::root().child(SessionTag::new("pool-proof", 0));
         for p in 0..4 {
@@ -319,49 +318,6 @@ fn wire_cells_bit_identical_to_sim_on_well_formed_plans() {
     }
 }
 
-/// Event-loop differential: `rt=async` reuses the simulator's scheduler
-/// and virtual clock verbatim and only moves node-side dispatch into
-/// per-party event-loop tasks, so — unlike `wire` — it must match `sim`
-/// bit-for-bit on *every* plan, byte-junk included (payloads never leave
-/// memory, so `garbage`/`equivocate` corrupt exactly the same frames).
-/// Each cell is also re-run to pin reproducibility from
-/// `(seed, scenario string)`.
-#[test]
-fn async_cells_bit_identical_to_sim_on_every_plan() {
-    for (kind, seeds) in [
-        (StackKind::Ba, &[1u64, 5][..]),
-        (StackKind::SvssChain, &[3u64, 8][..]),
-        (StackKind::CommonSubset, &[9u64][..]),
-    ] {
-        for plan in kind.standard_plans() {
-            let corrupt = if plan.is_empty() {
-                String::new()
-            } else {
-                format!(",corrupt={plan}")
-            };
-            for sched in ["random", "lifo", "net:lat=1..8"] {
-                let spec = format!("n=4,t=1{corrupt},sched={sched}");
-                for &seed in seeds {
-                    let reference = run_on(kind, &spec, "sim", seed);
-                    let cell = run_on(kind, &spec, "async", seed);
-                    assert_eq!(
-                        cell,
-                        reference,
-                        "{} {spec} rt=async seed={seed}",
-                        kind.label()
-                    );
-                    assert_eq!(
-                        run_on(kind, &spec, "async", seed),
-                        cell,
-                        "{} {spec} seed={seed}: async cell must reproduce",
-                        kind.label()
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Byte-fuzzed garbage on the wire backend: the `garbage` and
 /// `equivocate` plans emit genuinely malformed, truncated and
 /// kind-spoofed frames there. Every honest decoder must reject them —
@@ -486,7 +442,7 @@ fn tracing_is_bit_invisible_to_conformance() {
     use aft::core::scenarios::run_cell_traced;
     use aft::sim::TraceMode;
     let registry = standard_registry();
-    for backend in ["sim", "sharded:4", "wire", "async"] {
+    for backend in ["sim", "sharded:4", "wire"] {
         for (kind, plan) in [
             (StackKind::Ba, "garbage:40@3"),
             (StackKind::Ba, "equivocate:12@1"),
@@ -537,12 +493,7 @@ fn recorded_causal_dag_is_well_formed() {
     use aft::sim::{TraceEvent, TraceMode};
     use std::collections::HashSet;
     let registry = standard_registry();
-    for (backend, strict_roots) in [
-        ("sim", true),
-        ("wire", true),
-        ("async", true),
-        ("sharded:4", false),
-    ] {
+    for (backend, strict_roots) in [("sim", true), ("wire", true), ("sharded:4", false)] {
         let spec = format!("n=4,t=1,corrupt=equivocate:10@2,sched=random,rt={backend}");
         let scenario = Scenario::parse(&spec).unwrap();
         let (_, events) = run_cell_traced(
@@ -653,7 +604,7 @@ fn net_partition_heal_cells_terminate_on_every_backend() {
 fn net_crash_recovery_cells_are_safe_and_reproducible() {
     let registry = standard_registry();
     for kind in [StackKind::Ba, StackKind::SvssChain] {
-        for backend in ["sim", "sharded:4", "wire", "async"] {
+        for backend in ["sim", "sharded:4", "wire"] {
             let spec = format!("n=4,t=1,corrupt=recover:80@3,sched=net:lat=1..8,rt={backend}");
             let scenario = Scenario::parse(&spec).unwrap();
             for seed in SEEDS {
@@ -716,7 +667,7 @@ fn adaptive_cells_are_safe_and_reproducible() {
         (StackKind::SvssChain, "adaptive:core-candidates@*"),
         (StackKind::CommonSubset, "adaptive:core-candidates@*"),
     ] {
-        for backend in ["sim", "sharded:4", "wire", "async"] {
+        for backend in ["sim", "sharded:4", "wire"] {
             let spec = format!("n=4,t=1,corrupt={attack},sched=random,rt={backend}");
             let scenario = Scenario::parse(&spec).unwrap_or_else(|| panic!("{spec:?} must parse"));
             for seed in SEEDS {

@@ -20,7 +20,7 @@
 
 use aft_bench::deployment::{run_deployment, DeployOptions, DeployStack};
 use aft_bench::output_arg;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 struct Cli {
@@ -79,22 +79,33 @@ fn parse_cli() -> Cli {
     cli
 }
 
+/// The CI smoke suite: `(scenario, stack, seed)` per leg.
+fn smoke_runs() -> Vec<(String, DeployStack, u64)> {
+    vec![
+        ("n=4,t=1,rt=proc".into(), DeployStack::Ba, 2),
+        ("n=4,t=1,rt=proc".into(), DeployStack::CommonSubset, 9),
+        (
+            // The kill/restart leg: party 3 is SIGKILLed 300 ms in and
+            // respawned; its peers replay their outboxes and the
+            // fresh instance must still reach the unanimous output.
+            "n=4,t=1,corrupt=recover:300@3,rt=proc".into(),
+            DeployStack::Ba,
+            3,
+        ),
+    ]
+}
+
+/// Where a failing run's violation summary goes: named by stack and
+/// seed, so the legs of one invocation never overwrite each other.
+fn summary_path(log_dir: &Path, stack: DeployStack, seed: u64) -> PathBuf {
+    log_dir.join(format!("violations-{}-seed{seed}.txt", stack.label()))
+}
+
 fn main() {
     let cli = parse_cli();
     let out = output_arg();
-    let runs: Vec<(String, DeployStack, u64)> = if cli.smoke {
-        vec![
-            ("n=4,t=1,rt=proc".into(), DeployStack::Ba, 2),
-            ("n=4,t=1,rt=proc".into(), DeployStack::CommonSubset, 9),
-            (
-                // The kill/restart leg: party 3 is SIGKILLed 300 ms in and
-                // respawned; its peers replay their outboxes and the
-                // fresh instance must still reach the unanimous output.
-                "n=4,t=1,corrupt=recover:300@3,rt=proc".into(),
-                DeployStack::Ba,
-                3,
-            ),
-        ]
+    let runs = if cli.smoke {
+        smoke_runs()
     } else {
         let Some(spec) = cli.scenario.clone() else {
             eprintln!("error: pass --scenario '<spec with rt=proc>' or --smoke");
@@ -130,9 +141,7 @@ fn main() {
             for v in &report.violations {
                 eprintln!("VIOLATION [{} {spec} seed={seed}]: {v}", stack.label());
             }
-            let summary = cli
-                .log_dir
-                .join(format!("violations-{}.txt", stack.label()));
+            let summary = summary_path(&cli.log_dir, stack, seed);
             let body = format!(
                 "scenario: {spec}\nstack: {}\nseed: {seed}\noutputs: {outputs:?}\n{}\n",
                 stack.label(),
@@ -175,5 +184,22 @@ fn main() {
     );
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn smoke_legs_write_distinct_summaries() {
+        let dir = Path::new("logs");
+        let mut paths: Vec<PathBuf> = smoke_runs()
+            .into_iter()
+            .map(|(_, stack, seed)| summary_path(dir, stack, seed))
+            .collect();
+        paths.sort();
+        paths.dedup();
+        assert_eq!(paths.len(), smoke_runs().len(), "{paths:?}");
     }
 }

@@ -6,13 +6,15 @@
 
 use aft_bench::{fmt_prob, output_arg, runtime_arg, trials};
 use aft_lowerbound::{claim2_exact, claim2_run, theorem_2_2_report, Claim2Randomness};
+use aft_sim::Backend;
 use rand::SeedableRng;
 
 fn main() {
     let out = output_arg();
     out.note("# E1 — Lower bound (Theorem 2.2)");
     let rt = runtime_arg();
-    if rt.label() != "sim" {
+    // Anything but the default plain `sim` was asked for explicitly.
+    if rt.backend() != Backend::Sim || !rt.honors_schedulers() {
         out.note(&format!(
             "note: --runtime {} ignored — the lower-bound attacks are exhaustive local \
              computations with no message-passing runtime",

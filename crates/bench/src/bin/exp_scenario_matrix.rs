@@ -26,7 +26,7 @@ use aft_core::scenarios::{
     repro_dir, run_cell, run_cell_traced, standard_registry, write_repro_bundle, CellReport,
     StackKind,
 };
-use aft_sim::{MatrixCell, Scenario, ScenarioMatrix, TraceMode, ALL_SCHEDULERS};
+use aft_sim::{Backend, MatrixCell, Scenario, ScenarioMatrix, TraceMode, ALL_SCHEDULERS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -110,7 +110,7 @@ fn main() {
         t: 1,
         backends: backends
             .iter()
-            .filter(|b| !b.starts_with("threaded"))
+            .filter(|b| Backend::parse(b).is_ok_and(|b| b.deterministic()))
             .cloned()
             .collect(),
         schedulers: vec!["net:lat=1..12,partition=p50,heal=200".into()],
@@ -179,7 +179,8 @@ fn run_matrix(
     // Reproducibility: re-sweep and compare the deterministic cells
     // bit-for-bit (threaded cells are exempt by design).
     let again = sweep();
-    let deterministic = |c: &MatrixCell<CellReport>| !c.spec.contains("rt=threaded");
+    let deterministic =
+        |c: &MatrixCell<CellReport>| Scenario::parse(&c.spec).is_some_and(|s| s.rt.deterministic());
     let repro = cells
         .iter()
         .zip(&again)

@@ -16,7 +16,7 @@
 
 use aft_ba::{BinaryBa, LocalCoin};
 use aft_bench::{output_arg, record_run, session, trials};
-use aft_sim::{run_trials, Bernoulli, PartyId, RuntimeExt, Scenario, StopReason};
+use aft_sim::{run_trials, Backend, Bernoulli, PartyId, RuntimeExt, Scenario, StopReason};
 
 /// Round thresholds whose exceedance probability is reported.
 const TAILS: &[u64] = &[2, 3, 5, 8];
@@ -55,12 +55,16 @@ fn main() {
         let backend = if scenario.sched.starts_with("net") {
             format!("{}:{}", scenario.rt, scenario.sched)
         } else {
-            scenario.rt.clone()
+            scenario.rt.to_string()
         };
         let backend = backend.as_str();
         // The threaded backend spawns n OS threads per episode; keep the
         // outer trial parallelism modest there.
-        let workers = if backend == "threaded" { 4 } else { 16 };
+        let workers = if matches!(scenario.rt, Backend::Threaded { .. }) {
+            4
+        } else {
+            16
+        };
         let outcomes = run_trials(0..n_trials, workers, |seed| {
             let mut rt = scenario.runtime(seed);
             let sid = session("ba");

@@ -499,7 +499,7 @@ pub fn run_deployment(opts: &DeployOptions) -> Result<DeployReport, String> {
     let (clean_spec, restarts) = split_recover_spec(&opts.spec)?;
     let scenario = Scenario::parse(&clean_spec)
         .ok_or_else(|| format!("scenario {clean_spec:?} does not parse"))?;
-    if !scenario.is_proc() {
+    if scenario.rt.in_process() {
         return Err(format!(
             "deployment needs rt=proc, scenario says rt={}",
             scenario.rt

@@ -23,8 +23,9 @@ use aft_core::{
     CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind, FairChoice, FairChoiceParams, Fba,
 };
 use aft_sim::{
-    runtime_by_name, AttackRegistry, Instance, Metrics, NetConfig, PartyId, Runtime, RuntimeExt,
-    Scenario, SessionId, SessionTag, SilentInstance, StopReason, TraceMode, PROC_NOT_IN_PROCESS,
+    scheduler_by_name, AttackRegistry, Backend, Instance, Metrics, NetConfig, PartyId, Runtime,
+    RuntimeExt, Scenario, SessionId, SessionTag, SilentInstance, StopReason, TraceMode,
+    PROC_NOT_IN_PROCESS,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,7 +65,10 @@ pub fn trials(base: u64) -> u64 {
 /// one-OS-process-per-party deployment is driven by `exp_deployment`.
 #[derive(Debug)]
 pub struct RuntimeSpec {
-    name: String,
+    backend: Backend,
+    /// The scheduler `--runtime <backend>:<sched>` pinned, overriding
+    /// per-row schedulers.
+    pinned: Option<String>,
     /// Where to dump a flight-recorder trace of the first run, if asked
     /// (`--trace <path>`).
     trace: Option<PathBuf>,
@@ -76,7 +80,8 @@ pub struct RuntimeSpec {
 impl Clone for RuntimeSpec {
     fn clone(&self) -> Self {
         RuntimeSpec {
-            name: self.name.clone(),
+            backend: self.backend,
+            pinned: self.pinned.clone(),
             trace: self.trace.clone(),
             // A clone does not inherit the trace obligation: exactly one
             // run per `--trace` flag is recorded, via the original spec.
@@ -86,13 +91,21 @@ impl Clone for RuntimeSpec {
 }
 
 impl RuntimeSpec {
-    /// Builds a spec from an explicit backend name.
-    pub fn named(name: &str) -> Self {
-        RuntimeSpec {
-            name: name.to_string(),
+    /// Parses a `--runtime` value: a backend plus an optional pinned
+    /// scheduler, split by [`Backend::split`] exactly as
+    /// [`runtime_by_name`](aft_sim::runtime_by_name) splits it. `None`
+    /// when either part does not resolve.
+    pub fn parse(name: &str) -> Option<Self> {
+        let (backend, pinned) = Backend::split(name)?;
+        if pinned.is_some_and(|s| scheduler_by_name(s).is_none()) {
+            return None;
+        }
+        Some(RuntimeSpec {
+            backend,
+            pinned: pinned.map(str::to_string),
             trace: None,
             trace_pending: AtomicBool::new(false),
-        }
+        })
     }
 
     /// Asks the spec to dump a flight-recorder trace of the first run it
@@ -125,41 +138,37 @@ impl RuntimeSpec {
         write_trace_files(path, &events, label);
     }
 
-    /// The backend name as given (`"sim"`, `"threaded"`, …).
-    pub fn label(&self) -> &str {
-        &self.name
+    /// The backend.
+    pub fn backend(&self) -> Backend {
+        self.backend
     }
 
-    /// Whether this is a bare `sharded:<k>` (no pinned scheduler).
-    fn bare_sharded(&self) -> bool {
-        self.name
-            .strip_prefix("sharded:")
-            .is_some_and(|rest| rest.parse::<usize>().is_ok())
-    }
-
-    /// Whether rows parameterized by scheduler are meaningful.
-    pub fn honors_schedulers(&self) -> bool {
-        self.name == "sim" || self.name == "wire" || self.bare_sharded()
-    }
-
-    /// Resolves the backend name for a row that wants scheduler `sched`.
-    pub fn backend_for(&self, sched: &str) -> String {
-        if self.honors_schedulers() {
-            format!("{}:{sched}", self.name)
-        } else {
-            self.name.clone()
+    /// The `--runtime` value (`"sim"`, `"sharded:4:lifo"`, …).
+    pub fn label(&self) -> String {
+        match &self.pinned {
+            Some(sched) => format!("{}:{sched}", self.backend),
+            None => self.backend.to_string(),
         }
     }
 
-    /// Builds the runtime for a row with scheduler `sched`.
+    /// Whether rows parameterized by scheduler are meaningful: the
+    /// backend honors schedulers and none is pinned.
+    pub fn honors_schedulers(&self) -> bool {
+        self.pinned.is_none() && self.backend.honors_schedulers()
+    }
+
+    /// Builds the runtime for a row with scheduler `sched` (the pinned
+    /// scheduler wins).
     ///
     /// # Panics
     ///
-    /// Panics on an unknown backend or scheduler name.
+    /// Panics on an unknown scheduler name, and on `proc`, which has no
+    /// in-process runtime.
     pub fn make(&self, config: NetConfig, sched: &str) -> Box<dyn Runtime> {
-        let name = self.backend_for(sched);
-        runtime_by_name(&name, config)
-            .unwrap_or_else(|| panic!("unknown runtime or scheduler: {name}"))
+        let sched = self.pinned.as_deref().unwrap_or(sched);
+        self.backend
+            .build(config, sched)
+            .unwrap_or_else(|| panic!("unknown scheduler: {sched}"))
     }
 
     /// Prints the standard one-line backend banner.
@@ -171,7 +180,7 @@ impl RuntimeSpec {
                 println!("{line}");
             }
         };
-        banner(&format!("runtime backend: {}", self.name));
+        banner(&format!("runtime backend: {}", self.label()));
         if !self.honors_schedulers() {
             banner("(scheduler columns are ignored on this backend)");
         }
@@ -188,7 +197,7 @@ pub fn in_process_scenario(spec: &str, registry: &AttackRegistry) -> Scenario {
     };
     let scenario =
         Scenario::parse(spec).unwrap_or_else(|| fail(&format!("invalid scenario spec {spec:?}")));
-    if scenario.is_proc() {
+    if !scenario.rt.in_process() {
         fail(PROC_NOT_IN_PROCESS);
     }
     if let Err(e) = scenario.validate_attacks(registry) {
@@ -202,32 +211,31 @@ pub fn in_process_scenario(spec: &str, registry: &AttackRegistry) -> Scenario {
 /// backend name exits immediately with a usage message instead of
 /// panicking mid-experiment.
 pub fn runtime_arg() -> RuntimeSpec {
-    let mut picked = RuntimeSpec::named("sim");
+    let mut name = "sim".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--runtime" {
-            if let Some(name) = args.next() {
-                picked = RuntimeSpec::named(&name);
+            if let Some(next) = args.next() {
+                name = next;
             }
-        } else if let Some(name) = arg.strip_prefix("--runtime=") {
-            picked = RuntimeSpec::named(name);
+        } else if let Some(value) = arg.strip_prefix("--runtime=") {
+            name = value.to_string();
         }
     }
-    if picked.label().split(':').next() == Some("proc") {
-        eprintln!("error: --runtime {}: {PROC_NOT_IN_PROCESS}", picked.label());
-        std::process::exit(2);
+    let fail = |msg: String| -> ! {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    };
+    match RuntimeSpec::parse(&name) {
+        Some(spec) if !spec.backend.in_process() => {
+            fail(format!("--runtime {name}: {PROC_NOT_IN_PROCESS}"))
+        }
+        Some(spec) => spec.with_trace(trace_arg()),
+        None => fail(format!(
+            "unknown --runtime {name:?} (expected sim[:<scheduler>], wire[:<scheduler>], \
+             sharded:<k>[:<scheduler>], or threaded[:<poll_ms>])"
+        )),
     }
-    // Validate eagerly (per-row schedulers are resolved later, so probe
-    // with a plain scheduler).
-    if runtime_by_name(&picked.backend_for("random"), NetConfig::new(4, 1, 0)).is_none() {
-        eprintln!(
-            "error: unknown --runtime {:?} (expected sim[:<scheduler>], \
-             wire[:<scheduler>], sharded:<k>[:<scheduler>], or threaded[:<poll_ms>])",
-            picked.label()
-        );
-        std::process::exit(2);
-    }
-    picked.with_trace(trace_arg())
 }
 
 /// Parses `--trace <path>` / `--trace=<path>` from the command line:
@@ -660,7 +668,7 @@ mod tests {
 
     #[test]
     fn coin_runner_smoke() {
-        let rt = RuntimeSpec::named("sim");
+        let rt = RuntimeSpec::parse("sim").unwrap();
         let out = run_coin(
             &rt,
             4,
@@ -678,7 +686,7 @@ mod tests {
 
     #[test]
     fn coin_runner_on_threaded_backend() {
-        let rt = RuntimeSpec::named("threaded");
+        let rt = RuntimeSpec::parse("threaded").unwrap();
         let out = run_coin(
             &rt,
             4,
@@ -694,33 +702,26 @@ mod tests {
     }
 
     #[test]
-    fn runtime_spec_backend_resolution() {
-        let sim = RuntimeSpec::named("sim");
-        assert!(sim.honors_schedulers());
-        assert_eq!(sim.backend_for("lifo"), "sim:lifo");
-        let pinned = RuntimeSpec::named("sim:fifo");
-        assert!(!pinned.honors_schedulers());
-        assert_eq!(pinned.backend_for("lifo"), "sim:fifo");
-        let threaded = RuntimeSpec::named("threaded");
-        assert_eq!(threaded.backend_for("lifo"), "threaded");
-        let sharded = RuntimeSpec::named("sharded:4");
-        assert!(sharded.honors_schedulers());
-        assert_eq!(sharded.backend_for("lifo"), "sharded:4:lifo");
-        let sharded_pinned = RuntimeSpec::named("sharded:4:fifo");
-        assert!(!sharded_pinned.honors_schedulers());
-        assert_eq!(sharded_pinned.backend_for("lifo"), "sharded:4:fifo");
-        let wire = RuntimeSpec::named("wire");
-        assert!(wire.honors_schedulers());
-        assert_eq!(wire.backend_for("lifo"), "wire:lifo");
-        let wire_pinned = RuntimeSpec::named("wire:fifo");
-        assert!(!wire_pinned.honors_schedulers());
-        assert_eq!(wire_pinned.backend_for("lifo"), "wire:fifo");
+    fn runtime_spec_pins_a_scheduler() {
+        for (name, honors) in [
+            ("sim", true),
+            ("sim:fifo", false),
+            ("threaded:5", false),
+            ("sharded:4", true),
+            ("sharded:4:fifo", false),
+            ("wire:fifo", false),
+        ] {
+            let spec = RuntimeSpec::parse(name).unwrap();
+            assert_eq!(spec.label(), name);
+            assert_eq!(spec.honors_schedulers(), honors, "{name}");
+        }
+        assert!(RuntimeSpec::parse("sharded:4:bogus").is_none());
     }
 
     #[test]
     fn coin_runner_on_wire_backend() {
         aft_core::scenarios::register_standard_codecs();
-        let rt = RuntimeSpec::named("wire");
+        let rt = RuntimeSpec::parse("wire").unwrap();
         let out = run_coin(
             &rt,
             4,
@@ -738,7 +739,7 @@ mod tests {
 
     #[test]
     fn coin_runner_on_sharded_backend() {
-        let rt = RuntimeSpec::named("sharded:2");
+        let rt = RuntimeSpec::parse("sharded:2").unwrap();
         let out = run_coin(
             &rt,
             4,

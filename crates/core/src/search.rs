@@ -22,7 +22,8 @@ use crate::scenarios::{
     run_cell_budgeted, run_cell_instrumented, CellOutcome, CellReport, StackKind,
 };
 use aft_sim::{
-    AdaptiveSpec, AttackRegistry, Corruption, FaultSpec, Fingerprint, PartyId, Scenario, TraceMode,
+    AdaptiveSpec, AttackRegistry, Backend, Corruption, FaultSpec, Fingerprint, PartyId, Scenario,
+    TraceMode,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -69,7 +70,7 @@ impl CorpusEntry {
             seed: seed.parse().ok()?,
             spec: spec.to_string(),
         };
-        Scenario::parse(&entry.spec).filter(|s| !s.is_proc())?;
+        Scenario::parse(&entry.spec).filter(|s| s.rt.in_process())?;
         Some(entry)
     }
 }
@@ -300,7 +301,12 @@ const SCHED_CHOICES: [&str; 9] = [
 
 /// Backend alphabet for mutations. `threaded` is deliberately absent: it
 /// cannot honor replay (and rejects adaptive plans outright).
-const RT_CHOICES: [&str; 4] = ["sim", "sharded:2", "sharded:4", "wire"];
+const RT_CHOICES: [Backend; 4] = [
+    Backend::Sim,
+    Backend::Sharded { shards: 2 },
+    Backend::Sharded { shards: 4 },
+    Backend::Wire,
+];
 
 /// Adaptive-attack alphabet per stack: `(name, args)`.
 fn adaptive_choices(stack: StackKind) -> &'static [(&'static str, &'static str)] {
@@ -347,7 +353,7 @@ fn mutate_once(scenario: &mut Scenario, stack: StackKind, rng: &mut ChaCha12Rng)
             scenario.corruptions.truncate(t);
         }
         1 => scenario.sched = SCHED_CHOICES[rng.gen_range(0..SCHED_CHOICES.len())].to_string(),
-        2 => scenario.rt = RT_CHOICES[rng.gen_range(0..RT_CHOICES.len())].to_string(),
+        2 => scenario.rt = RT_CHOICES[rng.gen_range(0..RT_CHOICES.len())],
         // Add a corruption from the stack's fault alphabet on a currently
         // honest party (no-op when the budget is spent).
         3 => {
@@ -616,9 +622,9 @@ fn shrink_candidates(spec: &str) -> Vec<String> {
         s.sched = "random".to_string();
         candidates.push(s.to_string());
     }
-    if scenario.rt != "sim" {
+    if scenario.rt != Backend::Sim {
         let mut s = scenario.clone();
-        s.rt = "sim".to_string();
+        s.rt = Backend::Sim;
         candidates.push(s.to_string());
     }
     for n in 4..scenario.n {

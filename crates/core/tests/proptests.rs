@@ -169,7 +169,7 @@ proptest! {
 /// replayable minimal-ish counterexample for free.)
 mod scenario_safety {
     use aft_core::scenarios::{run_ba_cell, standard_registry};
-    use aft_sim::{Corruption, FaultSpec, PartyId, Scenario, ALL_SCHEDULERS};
+    use aft_sim::{Backend, Corruption, FaultSpec, PartyId, Scenario, ALL_SCHEDULERS};
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -228,7 +228,7 @@ mod scenario_safety {
                 corruptions,
                 adaptive: None,
                 sched: ALL_SCHEDULERS[sched % ALL_SCHEDULERS.len()].example.to_string(),
-                rt: rts[rt % rts.len()].to_string(),
+                rt: Backend::parse(rts[rt % rts.len()]).unwrap(),
             };
             // (a) the spec round-trips through its string form;
             let spec = scenario.to_string();
@@ -255,7 +255,9 @@ mod scenario_safety {
 /// (static seeds included).
 mod adaptive_safety {
     use aft_core::scenarios::{run_cell_instrumented, standard_registry, StackKind};
-    use aft_sim::{AdaptiveSpec, Corruption, FaultSpec, Scenario, TraceMode, ALL_SCHEDULERS};
+    use aft_sim::{
+        AdaptiveSpec, Backend, Corruption, FaultSpec, Scenario, TraceMode, ALL_SCHEDULERS,
+    };
     use proptest::prelude::*;
 
     proptest! {
@@ -302,7 +304,7 @@ mod adaptive_safety {
                     args: args.to_string(),
                 }),
                 sched: ALL_SCHEDULERS[sched % ALL_SCHEDULERS.len()].example.to_string(),
-                rt: rts[rt % rts.len()].to_string(),
+                rt: Backend::parse(rts[rt % rts.len()]).unwrap(),
             };
             // (a) adaptive specs round-trip through their string form;
             let spec = scenario.to_string();

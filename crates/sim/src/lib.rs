@@ -50,10 +50,13 @@
 //! codec, and in-process entry points reject `rt=proc` with
 //! [`PROC_NOT_IN_PROCESS`].
 //!
-//! [`runtime_by_name`] builds any of them from a string, which is what the
-//! `exp_*` binaries' `--runtime` flags and the cross-backend test suites
-//! use. See the crate-level example on [`SimNetwork`] and the trait
-//! example on [`Runtime`].
+//! [`Backend`] is the catalogue of them all: it parses an `rt=` value,
+//! declares what each backend can do (honor a scheduler, replay
+//! deterministically, run in process) and builds it. [`runtime_by_name`]
+//! builds any of them from a string, which is what the `exp_*` binaries'
+//! `--runtime` flags and the cross-backend test suites use. See the
+//! crate-level example on [`SimNetwork`] and the trait example on
+//! [`Runtime`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -94,7 +97,7 @@ pub use node::{Node, Outgoing, ShunRegistry};
 pub use payload::{FrameBytes, MsgView, Payload};
 pub use queue::{BatchSlot, MsgMeta, Pending};
 pub use runtime::{
-    runtime_by_name, Metrics, NetConfig, RunReport, Runtime, RuntimeExt, StopReason,
+    runtime_by_name, Backend, Metrics, NetConfig, RunReport, Runtime, RuntimeExt, StopReason,
 };
 pub use scenario::{
     AdaptiveCtx, AdaptiveSpec, AttackCtx, AttackRegistry, AttackRole, Corruption, FaultSpec,
@@ -105,10 +108,9 @@ pub use scheduler::{
     StarveScheduler, WindowScheduler,
 };
 pub use shard::ShardedSimRuntime;
-pub use threaded::{run_threaded, ThreadedOutputs, ThreadedRuntime};
+pub use threaded::ThreadedRuntime;
 pub use trace::{
-    DepthHistogram, DropReason, FullRecorder, RingRecorder, TraceEvent, TraceMode, TraceSink,
-    TraceSummary,
+    DepthHistogram, DropReason, RingRecorder, TraceEvent, TraceMode, TraceSink, TraceSummary,
 };
 pub use wire::{CodecRegistry, WireMessage};
 pub use wire_rt::WireRuntime;

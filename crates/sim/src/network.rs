@@ -44,7 +44,7 @@ pub struct Envelope {
 /// `SimNetwork` implements [`Runtime`], so deployments written against the
 /// trait run identically here and on the [`ThreadedRuntime`]; the inherent
 /// methods additionally expose simulator-only power (step-by-step
-/// execution, delivery traces, scheduled crashes, mid-run inspection).
+/// execution, scheduled crashes, mid-run inspection).
 ///
 /// [`ThreadedRuntime`]: crate::ThreadedRuntime
 ///
@@ -87,8 +87,6 @@ pub struct SimNetwork {
     muted: Vec<bool>,
     /// Optional per-party crash step: at this delivery step the party stops.
     crash_at: HashMap<PartyId, u64>,
-    /// Trace of (seq, from, to) for determinism checks, if enabled.
-    trace: Option<Vec<(u64, PartyId, PartyId)>>,
     /// Structured flight recorder (see [`crate::trace`]), if enabled.
     /// Observational only: consulted behind one `Option` check and never
     /// allowed to perturb schedules, RNGs or metrics.
@@ -139,7 +137,6 @@ impl SimNetwork {
             seq: 0,
             muted: vec![false; config.n],
             crash_at: HashMap::new(),
-            trace: None,
             sink: None,
             started: false,
             recoveries: Vec::new(),
@@ -165,20 +162,6 @@ impl SimNetwork {
     /// The network's static configuration.
     pub fn config(&self) -> &NetConfig {
         &self.config
-    }
-
-    /// Enables recording of `(seq, from, to)` delivery tuples, for
-    /// determinism tests.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The recorded delivery trace (empty unless [`enable_trace`] was
-    /// called).
-    ///
-    /// [`enable_trace`]: SimNetwork::enable_trace
-    pub fn trace(&self) -> &[(u64, PartyId, PartyId)] {
-        self.trace.as_deref().unwrap_or(&[])
     }
 
     /// Spawns `instance` for `party` at `session` and injects its initial
@@ -331,9 +314,6 @@ impl SimNetwork {
                 }
             }
             let env = self.pending.take_slot(slot);
-            if let Some(trace) = &mut self.trace {
-                trace.push((env.seq, env.from, env.to));
-            }
             if let Some(vt) = vnow {
                 let kind = env.session.last().map_or("root", |t| t.kind);
                 self.metrics.on_virtual_delivery(kind, vt);
@@ -391,17 +371,6 @@ impl SimNetwork {
 
     /// Runs until quiescence or until `max_steps` deliveries.
     pub fn run(&mut self, max_steps: u64) -> RunReport {
-        self.run_until(max_steps, |_| false)
-    }
-
-    /// Runs until quiescence, the step budget, or `stop(self)` returning
-    /// `true` (checked after every scheduler pick, i.e. every delivered
-    /// batch run).
-    pub fn run_until<F: FnMut(&SimNetwork) -> bool>(
-        &mut self,
-        max_steps: u64,
-        mut stop: F,
-    ) -> RunReport {
         let start = self.metrics.steps;
         if let Some(sink) = &mut self.sink {
             sink.record(TraceEvent::EpisodeStart { step: start });
@@ -420,9 +389,6 @@ impl SimNetwork {
                 }
                 break StopReason::Quiescent;
             }
-            if stop(self) {
-                break StopReason::Predicate;
-            }
         };
         if let Some(sink) = &mut self.sink {
             sink.record(TraceEvent::EpisodeEnd {
@@ -430,21 +396,6 @@ impl SimNetwork {
             });
         }
         self.report(reason)
-    }
-
-    /// Convenience: runs until every listed party has an output for
-    /// `session` (or the budget runs out).
-    pub fn run_until_outputs(
-        &mut self,
-        max_steps: u64,
-        session: &SessionId,
-        parties: &[PartyId],
-    ) -> RunReport {
-        let session = session.clone();
-        let parties = parties.to_vec();
-        self.run_until(max_steps, move |net| {
-            parties.iter().all(|&p| net.output(p, &session).is_some())
-        })
     }
 
     fn report(&self, stop: StopReason) -> RunReport {
@@ -753,9 +704,8 @@ impl Runtime for SimNetwork {
         at_vtime: u64,
         session: SessionId,
         instance: Box<dyn Instance>,
-    ) -> bool {
+    ) {
         SimNetwork::schedule_recover(self, party, at_vtime, session, instance);
-        true
     }
 
     fn set_trace(&mut self, mode: TraceMode) {
@@ -766,9 +716,8 @@ impl Runtime for SimNetwork {
         SimNetwork::take_trace(self)
     }
 
-    fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool {
+    fn install_adaptive(&mut self, ctrl: SharedAdaptive) {
         SimNetwork::install_adaptive(self, ctrl);
-        true
     }
 
     fn adaptive_handle(&self) -> Option<SharedAdaptive> {
@@ -856,9 +805,9 @@ mod tests {
     fn deterministic_replay_same_seed() {
         let trace = |seed| {
             let mut net = flood_net(seed, Box::new(RandomScheduler));
-            net.enable_trace();
+            net.set_trace(TraceMode::Full);
             net.run(1_000_000);
-            net.trace().to_vec()
+            crate::trace::delivery_schedule(&net.take_trace().unwrap().snapshot())
         };
         assert_eq!(trace(9), trace(9));
         assert_ne!(trace(9), trace(10), "different seeds should differ");

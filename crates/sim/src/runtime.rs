@@ -1,9 +1,9 @@
 //! The runtime seam: one [`Runtime`] trait over every execution backend.
 //!
 //! Protocol code is written once against [`Instance`] and runs unchanged on
-//! any backend implementing [`Runtime`]: today the deterministic
-//! [`SimNetwork`] and the OS-thread [`ThreadedRuntime`], tomorrow sharded
-//! or wire-serialized backends. The trait captures the full lifecycle an
+//! any backend implementing [`Runtime`] — the in-process members of the
+//! [`Backend`] catalogue, from the deterministic [`SimNetwork`] to the
+//! OS-thread [`ThreadedRuntime`]. The trait captures the full lifecycle an
 //! experiment needs — deploy instances, inject crashes, run to quiescence,
 //! read outputs and metrics — so cross-backend suites and `--runtime`
 //! experiment flags are one `Box<dyn Runtime>` away.
@@ -245,8 +245,6 @@ pub enum StopReason {
     Quiescent,
     /// The step budget was exhausted first.
     StepLimit,
-    /// The caller's predicate requested a stop.
-    Predicate,
 }
 
 /// Summary of a completed run.
@@ -660,13 +658,7 @@ pub trait Runtime {
     /// instances may keep participating (e.g. echoing for laggards)
     /// after producing an output, and reclaiming them implicitly would
     /// change schedules. Returns `true` when a session slot was freed.
-    /// Backends without per-party arenas (e.g. the threaded runtime,
-    /// whose nodes live on worker threads) may not support it and return
-    /// `false`.
-    fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool {
-        let _ = (party, session);
-        false
-    }
+    fn retire_session(&mut self, party: PartyId, session: &SessionId) -> bool;
 
     /// Schedules `party` — crashed or about to be crashed — to recover at
     /// virtual time `at_vtime`: its stale `session` state is retired via
@@ -676,18 +668,22 @@ pub trait Runtime {
     ///
     /// Recovery needs a virtual clock: backends honor it only when their
     /// scheduler is the `net:` family (recoveries still fire at
-    /// quiescence otherwise, but without meaningful timing). Returns
-    /// `false` when the backend does not support scheduled recovery —
-    /// the party then simply stays crashed.
+    /// quiescence otherwise, but without meaningful timing). The default
+    /// panics: only [deterministic](Backend::deterministic) backends
+    /// recover, and [`Scenario::validate`](crate::Scenario::validate)
+    /// refuses `recover:` plans on the others.
     fn schedule_recover(
         &mut self,
         party: PartyId,
         at_vtime: u64,
         session: SessionId,
         instance: Box<dyn Instance>,
-    ) -> bool {
+    ) {
         let _ = (party, at_vtime, session, instance);
-        false
+        panic!(
+            "backend {:?} cannot schedule crash-recovery: it needs a deterministic backend",
+            self.backend_name()
+        );
     }
 
     /// Snapshot of the run metrics so far.
@@ -695,29 +691,27 @@ pub trait Runtime {
 
     /// Configures the flight recorder (see [`trace`](crate::trace)) for
     /// subsequent runs. Off by default; tracing is observational only
-    /// and never perturbs schedules, RNGs or fingerprints. The default
-    /// implementation ignores the call, so backends without a recorder
-    /// stay valid.
-    fn set_trace(&mut self, mode: TraceMode) {
-        let _ = mode;
-    }
+    /// and never perturbs schedules, RNGs or fingerprints.
+    fn set_trace(&mut self, mode: TraceMode);
 
     /// Detaches and returns the active trace sink, if any, leaving
     /// tracing off.
-    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        None
-    }
+    fn take_trace(&mut self) -> Option<Box<dyn TraceSink>>;
 
     /// Installs an adaptive-adversary controller (see
     /// [`adaptive`](crate::adaptive)): the backend feeds it schedule-stable
     /// observation events (deliveries, scheduler picks) as the run
     /// progresses, and [`AdaptiveShell`](crate::AdaptiveShell)s consult its
-    /// victim ledger on every activation. Returns `false` when the backend
-    /// cannot feed observations deterministically (e.g. the threaded
-    /// runtime) — adaptive scenarios are rejected there.
-    fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool {
+    /// victim ledger on every activation. The default panics: only
+    /// [deterministic](Backend::deterministic) backends feed observations
+    /// replayably, and [`Scenario::validate`](crate::Scenario::validate)
+    /// refuses adaptive plans on the others.
+    fn install_adaptive(&mut self, ctrl: SharedAdaptive) {
         let _ = ctrl;
-        false
+        panic!(
+            "backend {:?} cannot host an adaptive adversary: it needs a deterministic backend",
+            self.backend_name()
+        );
     }
 
     /// The installed adaptive controller, if any — lets multi-episode
@@ -748,31 +742,189 @@ pub trait RuntimeExt: Runtime {
 
 impl<R: Runtime + ?Sized> RuntimeExt for R {}
 
+/// The backend catalogue: every execution backend an `rt=` value names.
+///
+/// This is the one place that knows backend spellings and abilities:
+/// [`parse`](Backend::parse) reads an `rt=` value, `Display` writes it back,
+/// the capability methods say what a backend can do, and
+/// [`build`](Backend::build) constructs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The deterministic simulator ([`SimNetwork`](crate::SimNetwork)).
+    Sim,
+    /// The wire-serialized deterministic runtime
+    /// ([`WireRuntime`](crate::WireRuntime)).
+    Wire,
+    /// The sharded deterministic simulator
+    /// ([`ShardedSimRuntime`](crate::ShardedSimRuntime)).
+    Sharded {
+        /// Number of worker shards (at least 1).
+        shards: usize,
+    },
+    /// The OS-thread runtime ([`ThreadedRuntime`](crate::ThreadedRuntime)).
+    Threaded {
+        /// Idle-poll interval in milliseconds; `None` is the default.
+        poll_ms: Option<u64>,
+    },
+    /// One OS process per party under the `exp_deployment` supervisor in
+    /// `aft-bench`: a scenario marker with no in-process runtime (see
+    /// [`PROC_NOT_IN_PROCESS`](crate::PROC_NOT_IN_PROCESS)).
+    Proc {
+        /// Declared party count; must equal the scenario's `n`.
+        n: Option<usize>,
+    },
+}
+
+impl Backend {
+    /// Parses an `rt=` value. The error names the mistake: a scheduler
+    /// jammed into `rt=wire:<sched>` gets a hint to move it to `sched=`;
+    /// anything else lists the backends.
+    pub fn parse(spec: &str) -> Result<Backend, String> {
+        let (family, arg) = match spec.split_once(':') {
+            Some((family, arg)) => (family, Some(arg)),
+            None => (spec, None),
+        };
+        let backend = match (family, arg) {
+            ("sim", None) => Some(Backend::Sim),
+            ("wire", None) => Some(Backend::Wire),
+            ("wire", Some(_)) => {
+                // The most likely authoring mistake on wire cells:
+                // schedulers do not nest inside `rt=`.
+                return Err(format!(
+                    "runtime {spec:?} takes no arguments: write rt=wire and put the \
+                     scheduler in sched= (wire cells compose as wire:<sched> internally)"
+                ));
+            }
+            ("sharded", Some(k)) => k
+                .parse()
+                .ok()
+                .filter(|&k| k > 0)
+                .map(|shards| Backend::Sharded { shards }),
+            ("threaded", None) => Some(Backend::Threaded { poll_ms: None }),
+            ("threaded", Some(ms)) => ms
+                .parse()
+                .ok()
+                .map(|ms| Backend::Threaded { poll_ms: Some(ms) }),
+            ("proc", None) => Some(Backend::Proc { n: None }),
+            ("proc", Some(n)) => n.parse().ok().map(|n| Backend::Proc { n: Some(n) }),
+            _ => None,
+        };
+        backend.ok_or_else(|| {
+            format!(
+                "unknown runtime {spec:?} (expected sim, wire, sharded:<k>, \
+                 threaded[:<poll_ms>], or proc[:<n>] for exp_deployment)"
+            )
+        })
+    }
+
+    /// Splits a [`runtime_by_name`] spec into its backend and the
+    /// scheduler it pins, if any: `sim[:<sched>]`, `wire[:<sched>]` and
+    /// `sharded:<k>[:<sched>]` may pin one; `threaded[:<poll_ms>]` and
+    /// `proc[:<n>]` take none. `None` when the backend part does not
+    /// parse.
+    pub fn split(name: &str) -> Option<(Backend, Option<&str>)> {
+        if let Ok(backend) = Backend::parse(name) {
+            return Some((backend, None));
+        }
+        // Otherwise the scheduler starts after the shortest prefix that
+        // names a scheduler-honoring backend.
+        name.match_indices(':').find_map(|(i, _)| {
+            let backend = Backend::parse(&name[..i])
+                .ok()
+                .filter(Backend::honors_schedulers)?;
+            Some((backend, Some(&name[i + 1..])))
+        })
+    }
+
+    /// Whether the backend's delivery order is chosen by the `sched=`
+    /// scheduler (the OS schedules `threaded` and `proc`).
+    pub fn honors_schedulers(&self) -> bool {
+        matches!(self, Backend::Sim | Backend::Wire | Backend::Sharded { .. })
+    }
+
+    /// Whether a run is a pure function of `(seed, scenario)`: what replay,
+    /// the adaptive adversary and virtual-clock crash-recovery need.
+    pub fn deterministic(&self) -> bool {
+        matches!(self, Backend::Sim | Backend::Wire | Backend::Sharded { .. })
+    }
+
+    /// Whether the backend runs inside this process (every backend but
+    /// `proc`).
+    pub fn in_process(&self) -> bool {
+        !matches!(self, Backend::Proc { .. })
+    }
+
+    /// Builds the backend for `config` with the scheduler spec `sched`
+    /// (ignored by backends that do not [honor
+    /// schedulers](Backend::honors_schedulers)). `None` when `sched` does
+    /// not resolve via [`scheduler_by_name`](crate::scheduler_by_name).
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`PROC_NOT_IN_PROCESS`](crate::PROC_NOT_IN_PROCESS) on
+    /// [`Backend::Proc`], which has no in-process runtime.
+    pub fn build(&self, config: NetConfig, sched: &str) -> Option<Box<dyn Runtime>> {
+        use crate::network::SimNetwork;
+        use crate::shard::ShardedSimRuntime;
+        use crate::threaded::ThreadedRuntime;
+        use crate::wire_rt::WireRuntime;
+        let scheduler = || crate::scheduler_by_name(sched);
+        Some(match *self {
+            Backend::Sim => Box::new(SimNetwork::new(config, scheduler()?)),
+            Backend::Wire => Box::new(WireRuntime::new(
+                config,
+                scheduler()?,
+                crate::wire::global_registry(),
+            )),
+            Backend::Sharded { shards } => {
+                scheduler()?; // validate the name once
+                Box::new(ShardedSimRuntime::with_scheduler_factory(
+                    config,
+                    shards,
+                    |_| scheduler().expect("validated above"),
+                ))
+            }
+            Backend::Threaded { poll_ms } => Box::new(ThreadedRuntime::with_poll(
+                config,
+                poll_ms.map_or(ThreadedRuntime::DEFAULT_POLL, |ms| {
+                    std::time::Duration::from_millis(ms.max(1))
+                }),
+            )),
+            Backend::Proc { .. } => panic!("{}", crate::PROC_NOT_IN_PROCESS),
+        })
+    }
+}
+
+impl fmt::Display for Backend {
+    /// The canonical `rt=` spelling, which [`Backend::parse`] reads back.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Backend::Sim => write!(f, "sim"),
+            Backend::Wire => write!(f, "wire"),
+            Backend::Sharded { shards } => write!(f, "sharded:{shards}"),
+            Backend::Threaded { poll_ms: None } => write!(f, "threaded"),
+            Backend::Threaded { poll_ms: Some(ms) } => write!(f, "threaded:{ms}"),
+            Backend::Proc { n: None } => write!(f, "proc"),
+            Backend::Proc { n: Some(n) } => write!(f, "proc:{n}"),
+        }
+    }
+}
+
 /// Builds a boxed runtime by name — the experiment-sweep counterpart of
 /// [`scheduler_by_name`](crate::scheduler_by_name).
 ///
-/// Supported names:
+/// A name is a [`Backend`] optionally followed by `:<scheduler>` (split by
+/// [`Backend::split`]); without one, the backend runs the random
+/// scheduler. Supported names:
 ///
-/// * `"sim"` — deterministic simulator with the random scheduler;
-/// * `"sim:<scheduler>"` — simulator with any
+/// * `"sim"`, `"sim:<scheduler>"` — the deterministic simulator with any
 ///   [`scheduler_by_name`](crate::scheduler_by_name) scheduler
 ///   (e.g. `"sim:lifo"`, `"sim:window8"`, `"sim:starve:1,3"`);
-/// * `"sharded:<k>"` — sharded deterministic simulator
-///   ([`ShardedSimRuntime`](crate::ShardedSimRuntime)) with `k` worker
-///   shards and the random per-party scheduler (`k ≥ 1`);
-/// * `"sharded:<k>:<scheduler>"` — sharded simulator with every party
-///   running the named [`scheduler_by_name`](crate::scheduler_by_name)
-///   policy (e.g. `"sharded:4:lifo"`);
-/// * `"wire"` — the wire-serialized deterministic runtime
-///   ([`WireRuntime`](crate::WireRuntime)): every envelope is encoded to
-///   a length-prefixed byte frame, round-tripped through a per-party OS
-///   socket pair, and decoded lazily through the process-global
-///   [`CodecRegistry`](crate::wire::CodecRegistry) snapshot;
-/// * `"wire:<scheduler>"` — the wire runtime with any
-///   [`scheduler_by_name`](crate::scheduler_by_name) scheduler;
-/// * `"threaded"` — OS-thread runtime with the default poll interval;
-/// * `"threaded:<millis>"` — OS-thread runtime with an explicit idle-poll
-///   interval in milliseconds.
+/// * `"sharded:<k>"`, `"sharded:<k>:<scheduler>"` — the sharded simulator
+///   with `k ≥ 1` worker shards, every party running the named policy;
+/// * `"wire"`, `"wire:<scheduler>"` — the wire-serialized runtime;
+/// * `"threaded"`, `"threaded:<millis>"` — the OS-thread runtime with the
+///   default or an explicit idle-poll interval.
 ///
 /// `"proc"` is not a runtime: `rt=proc` scenarios run one OS process
 /// per party under the `exp_deployment` supervisor in `aft-bench`
@@ -794,66 +946,11 @@ impl<R: Runtime + ?Sized> RuntimeExt for R {}
 /// assert!(runtime_by_name("hovercraft", config).is_none());
 /// ```
 pub fn runtime_by_name(name: &str, config: NetConfig) -> Option<Box<dyn Runtime>> {
-    use crate::network::SimNetwork;
-    use crate::shard::ShardedSimRuntime;
-    use crate::threaded::ThreadedRuntime;
-    use crate::wire_rt::WireRuntime;
-    if name == "sim" {
-        return Some(Box::new(SimNetwork::new(
-            config,
-            Box::new(crate::scheduler::RandomScheduler),
-        )));
+    let (backend, sched) = Backend::split(name)?;
+    if !backend.in_process() {
+        return None;
     }
-    if let Some(sched) = name.strip_prefix("sim:") {
-        return Some(Box::new(SimNetwork::new(
-            config,
-            crate::scheduler_by_name(sched)?,
-        )));
-    }
-    if name == "wire" {
-        return Some(Box::new(WireRuntime::new(
-            config,
-            Box::new(crate::scheduler::RandomScheduler),
-            crate::wire::global_registry(),
-        )));
-    }
-    if let Some(sched) = name.strip_prefix("wire:") {
-        return Some(Box::new(WireRuntime::new(
-            config,
-            crate::scheduler_by_name(sched)?,
-            crate::wire::global_registry(),
-        )));
-    }
-    if let Some(rest) = name.strip_prefix("sharded:") {
-        let (k, sched) = match rest.split_once(':') {
-            Some((k, sched)) => (k, Some(sched)),
-            None => (rest, None),
-        };
-        let k: usize = k.parse().ok()?;
-        if k == 0 {
-            return None;
-        }
-        return Some(match sched {
-            None => Box::new(ShardedSimRuntime::new(config, k)),
-            Some(sched) => {
-                crate::scheduler_by_name(sched)?; // validate the name once
-                Box::new(ShardedSimRuntime::with_scheduler_factory(config, k, |_| {
-                    crate::scheduler_by_name(sched).expect("validated above")
-                }))
-            }
-        });
-    }
-    if name == "threaded" {
-        return Some(Box::new(ThreadedRuntime::new(config)));
-    }
-    if let Some(ms) = name.strip_prefix("threaded:") {
-        let ms: u64 = ms.parse().ok()?;
-        return Some(Box::new(ThreadedRuntime::with_poll(
-            config,
-            std::time::Duration::from_millis(ms.max(1)),
-        )));
-    }
-    None
+    backend.build(config, sched.unwrap_or("random"))
 }
 
 #[cfg(test)]
@@ -995,6 +1092,51 @@ mod tests {
         for name in ["async", "async:lifo", "proc", "proc:4"] {
             assert!(runtime_by_name(name, config).is_none(), "{name}");
         }
+    }
+
+    #[test]
+    fn backend_catalogue_round_trips_and_declares_capabilities() {
+        // (spelling, honors_schedulers, deterministic, in_process)
+        for (spec, honors, deterministic, in_process) in [
+            ("sim", true, true, true),
+            ("wire", true, true, true),
+            ("sharded:1", true, true, true),
+            ("sharded:2", true, true, true),
+            ("sharded:4", true, true, true),
+            ("threaded", false, false, true),
+            ("threaded:5", false, false, true),
+            ("proc", false, false, false),
+            ("proc:4", false, false, false),
+        ] {
+            let b = Backend::parse(spec).unwrap();
+            assert_eq!(b.to_string(), spec);
+            let caps = (b.honors_schedulers(), b.deterministic(), b.in_process());
+            assert_eq!(caps, (honors, deterministic, in_process), "{spec}");
+        }
+        for (bad, phrase) in [
+            ("wire:lifo", "sched="),
+            ("wire:", "sched="),
+            ("sim:lifo", "unknown runtime"),
+            ("sharded:0", "unknown runtime"),
+            ("threaded:abc", "unknown runtime"),
+            ("proc:x", "unknown runtime"),
+            ("", "unknown runtime"),
+        ] {
+            let err = Backend::parse(bad).unwrap_err();
+            assert!(err.contains(phrase), "{bad:?}: {err}");
+        }
+        // A pinned scheduler splits off only scheduler-honoring backends.
+        let split = |name| Backend::split(name).map(|(b, s)| (b.to_string(), s));
+        assert_eq!(
+            split("sim:starve:1,3"),
+            Some(("sim".into(), Some("starve:1,3")))
+        );
+        assert_eq!(
+            split("sharded:4:lifo"),
+            Some(("sharded:4".into(), Some("lifo")))
+        );
+        assert_eq!(split("threaded:5"), Some(("threaded:5".into(), None)));
+        assert_eq!(split("threaded:5:lifo"), None);
     }
 
     /// One randomized bookkeeping op against a `Metrics`.

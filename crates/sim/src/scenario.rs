@@ -68,7 +68,7 @@ use crate::behaviors::{Equivocator, GarbageInstance, MuteAfter, SilentInstance};
 use crate::ids::{PartyId, SessionId};
 use crate::instance::Instance;
 use crate::payload::Payload;
-use crate::runtime::{runtime_by_name, Metrics, NetConfig, Runtime};
+use crate::runtime::{Backend, Metrics, NetConfig, Runtime};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -214,10 +214,8 @@ pub struct Scenario {
     pub adaptive: Option<AdaptiveSpec>,
     /// Scheduler spec, resolvable by [`scheduler_by_name`](crate::scheduler_by_name).
     pub sched: String,
-    /// Backend spec: `sim`, `wire`, `sharded:<k>`, or
-    /// `threaded[:<poll_ms>]` (the scheduler is carried separately in
-    /// `sched`).
-    pub rt: String,
+    /// The backend (the scheduler is carried separately in `sched`).
+    pub rt: Backend,
 }
 
 impl Scenario {
@@ -229,7 +227,7 @@ impl Scenario {
             corruptions: Vec::new(),
             adaptive: None,
             sched: "random".to_string(),
-            rt: "sim".to_string(),
+            rt: Backend::Sim,
         }
     }
 
@@ -260,14 +258,14 @@ impl Scenario {
         let mut t = None;
         let mut corrupt = String::new();
         let mut sched = "random".to_string();
-        let mut rt = "sim".to_string();
+        let mut rt = Backend::Sim;
         for (k, v) in fields {
             match k {
                 "n" => n = Some(v.parse().ok()?),
                 "t" => t = Some(v.parse().ok()?),
                 "corrupt" => corrupt = v,
                 "sched" => sched = v,
-                "rt" => rt = v,
+                "rt" => rt = Backend::parse(&v).ok()?,
                 _ => return None,
             }
         }
@@ -359,40 +357,27 @@ impl Scenario {
             if !valid_attack_name(&spec.name) {
                 return Err(format!("invalid adaptive attack name {:?}", spec.name));
             }
-            if matches!(self.rt_family(), "threaded" | "proc") {
+            if !self.rt.deterministic() {
                 return Err(format!(
                     "adaptive:{}@* needs a deterministic backend to honor replay: use \
-                     rt=sim, rt=sharded:<k> or rt=wire ({} schedules are OS-timing \
+                     rt=sim, rt=sharded:<k> or rt=wire (rt={} schedules are OS-timing \
                      dependent)",
-                    spec.name,
-                    self.rt_family()
+                    spec.name, self.rt
                 ));
             }
         }
-        if let Some(c) = self
+        let recover = self
             .corruptions
             .iter()
-            .find(|c| matches!(c.fault, FaultSpec::Recover(_)))
-        {
-            match self.rt_family() {
-                "threaded" => {
-                    return Err(format!(
-                        "recover:<vt>@{} needs a virtual clock and rt=threaded has none \
-                         (the OS schedules it and ignores sched=): use rt=sim, \
-                         rt=sharded:<k> or rt=wire with a sched=net: scheduler",
-                        c.party.0
-                    ))
-                }
-                "proc" => {
-                    return Err(format!(
-                        "recover:<vt>@{} on rt=proc is supervisor-driven: run the \
-                         scenario through exp_deployment, which maps it onto SIGKILL + \
-                         respawn",
-                        c.party.0
-                    ))
-                }
-                _ => {}
-            }
+            .find(|c| matches!(c.fault, FaultSpec::Recover(_)));
+        if let Some(c) = recover.filter(|_| !self.rt.deterministic()) {
+            return Err(format!(
+                "recover:<vt>@{} needs a virtual clock and rt={} has none (the OS \
+                 schedules it and ignores sched=): use rt=sim, rt=sharded:<k> or rt=wire \
+                 with a sched=net: scheduler, or exp_deployment, which maps recover: onto \
+                 SIGKILL + respawn of one OS process per party",
+                c.party.0, self.rt
+            ));
         }
         if crate::scheduler_by_name(&self.sched).is_none() {
             // Name the mistake: a known family with malformed arguments
@@ -435,58 +420,21 @@ impl Scenario {
                     ));
                 }
             }
-        } else if let Some(c) = self
-            .corruptions
-            .iter()
-            .find(|c| matches!(c.fault, FaultSpec::Recover(_)))
-        {
+        } else if let Some(c) = recover {
             return Err(format!(
                 "recover@{} is measured in virtual time: use a sched=net: scheduler \
                  (e.g. sched=net:lat=1..8)",
                 c.party.0
             ));
         }
-        let rt_ok = match self.rt.as_str() {
-            "sim" | "threaded" | "wire" | "proc" => true,
-            other => {
-                if other.starts_with("wire:") || other == "wire:" {
-                    // The most likely authoring mistake on wire cells:
-                    // schedulers (and anything else) do not nest inside
-                    // `rt=`; reject with a targeted message instead of a
-                    // runtime panic deep inside a sweep.
-                    return Err(format!(
-                        "runtime {other:?} takes no arguments: write rt=wire and put the \
-                         scheduler in sched= (wire cells compose as wire:<sched> internally)"
-                    ));
-                }
-                if let Some(k) = other.strip_prefix("proc:") {
-                    match k.parse::<usize>() {
-                        Ok(k) if k == self.n => true,
-                        Ok(k) => {
-                            return Err(format!(
-                                "rt=proc:{k} disagrees with n={}: the deployment runs \
-                                 exactly one process per party — write rt=proc (or \
-                                 rt=proc:{})",
-                                self.n, self.n
-                            ));
-                        }
-                        Err(_) => false,
-                    }
-                } else if let Some(k) = other.strip_prefix("sharded:") {
-                    k.parse::<usize>().is_ok_and(|k| k > 0)
-                } else if let Some(ms) = other.strip_prefix("threaded:") {
-                    ms.parse::<u64>().is_ok()
-                } else {
-                    false
-                }
+        if let Backend::Proc { n: Some(k) } = self.rt {
+            if k != self.n {
+                return Err(format!(
+                    "rt=proc:{k} disagrees with n={}: the deployment runs exactly one \
+                     process per party — write rt=proc (or rt=proc:{})",
+                    self.n, self.n
+                ));
             }
-        };
-        if !rt_ok {
-            return Err(format!(
-                "unknown runtime {:?} (expected sim, wire, sharded:<k>, \
-                 threaded[:<poll_ms>], or proc[:<n>] for exp_deployment)",
-                self.rt
-            ));
         }
         Ok(())
     }
@@ -509,33 +457,9 @@ impl Scenario {
         Ok(())
     }
 
-    /// The full [`runtime_by_name`](crate::runtime_by_name) spec this
-    /// scenario runs on: `rt` composed with `sched` on the backends that
-    /// honor schedulers (`threaded` ignores them — the OS schedules).
-    pub fn backend_name(&self) -> String {
-        match self.rt.as_str() {
-            "sim" => format!("sim:{}", self.sched),
-            "wire" => format!("wire:{}", self.sched),
-            rt if rt.starts_with("sharded:") => format!("{rt}:{}", self.sched),
-            rt => rt.to_string(),
-        }
-    }
-
     /// The [`NetConfig`] of a run of this scenario with `seed`.
     pub fn config(&self, seed: u64) -> NetConfig {
         NetConfig::new(self.n, self.t, seed)
-    }
-
-    /// The runtime family: `rt` up to its first `:`.
-    fn rt_family(&self) -> &str {
-        self.rt.split(':').next().unwrap_or(&self.rt)
-    }
-
-    /// Whether this scenario is marked `rt=proc[:<n>]`: one OS process
-    /// per party under the `exp_deployment` supervisor, with no
-    /// in-process runtime.
-    pub fn is_proc(&self) -> bool {
-        self.rt_family() == "proc"
     }
 
     /// Builds the scenario's runtime for one seeded run.
@@ -544,13 +468,12 @@ impl Scenario {
     ///
     /// Panics with [`PROC_NOT_IN_PROCESS`](crate::PROC_NOT_IN_PROCESS)
     /// on an `rt=proc` scenario, and if the scenario was constructed by
-    /// hand with specs that don't pass [`Scenario::validate`] (parsed
-    /// scenarios always do).
+    /// hand with a scheduler that doesn't pass [`Scenario::validate`]
+    /// (parsed scenarios always do).
     pub fn runtime(&self, seed: u64) -> Box<dyn Runtime> {
-        assert!(!self.is_proc(), "{}", crate::PROC_NOT_IN_PROCESS);
-        let name = self.backend_name();
-        runtime_by_name(&name, self.config(seed))
-            .unwrap_or_else(|| panic!("invalid scenario backend {name:?}"))
+        self.rt
+            .build(self.config(seed), &self.sched)
+            .unwrap_or_else(|| panic!("invalid scenario scheduler {:?}", self.sched))
     }
 
     /// The fault assigned to `party`, if corrupted.
@@ -633,14 +556,7 @@ impl Scenario {
                         let ctrl = std::sync::Arc::new(std::sync::Mutex::new(
                             crate::adaptive::AdaptiveController::new(policy, plan),
                         ));
-                        if !rt.install_adaptive(ctrl.clone()) {
-                            return Err(format!(
-                                "backend {:?} does not support adaptive attacks \
-                                 (adaptive:{}@*)",
-                                rt.backend_name(),
-                                spec.name
-                            ));
-                        }
+                        rt.install_adaptive(ctrl.clone());
                         ctrl
                     }
                 };
@@ -677,13 +593,7 @@ impl Scenario {
                     // instance respawns after the rejoin grace period.
                     rt.spawn(p, session.clone(), honest(p, carry));
                     rt.crash(p);
-                    if !rt.schedule_recover(p, *at, session.clone(), honest(p, carry)) {
-                        return Err(format!(
-                            "backend {:?} does not support crash-recovery (recover@{})",
-                            rt.backend_name(),
-                            p.0
-                        ));
-                    }
+                    rt.schedule_recover(p, *at, session.clone(), honest(p, carry));
                     continue;
                 }
                 Some(FaultSpec::MuteAfter(k)) => Box::new(MuteAfter::new(honest(p, carry), *k)),
@@ -1096,8 +1006,7 @@ mod tests {
             Some(&FaultSpec::Garbage(DEFAULT_GARBAGE_BUDGET))
         );
         assert_eq!(s.sched, "starve:1");
-        assert_eq!(s.rt, "sharded:4");
-        assert_eq!(s.backend_name(), "sharded:4:starve:1");
+        assert_eq!(s.rt, Backend::Sharded { shards: 4 });
     }
 
     #[test]
@@ -1106,7 +1015,7 @@ mod tests {
         assert_eq!((s.n, s.t), (7, 2));
         assert!(s.corruptions.is_empty());
         assert_eq!(s.sched, "random");
-        assert_eq!(s.rt, "sim");
+        assert_eq!(s.rt, Backend::Sim);
         assert_eq!(Scenario::parse("scenario:n=7"), Some(s));
     }
 
@@ -1114,7 +1023,7 @@ mod tests {
     fn parse_glues_scheduler_commas() {
         let s = Scenario::parse("n=7,t=2,sched=starve:1,3,rt=sim").unwrap();
         assert_eq!(s.sched, "starve:1,3");
-        assert_eq!(s.rt, "sim");
+        assert_eq!(s.rt, Backend::Sim);
         // Comma-continuations also work for attack args in corrupt plans.
         let s = Scenario::parse("n=7,sched=random,corrupt=wrong-cross:1,2@4").unwrap();
         assert_eq!(
@@ -1192,24 +1101,21 @@ mod tests {
     #[test]
     fn proc_cells_parse_and_misuse_gets_a_clear_error() {
         let s = Scenario::parse("n=4,t=1,rt=proc").unwrap();
-        assert!(s.is_proc());
-        assert_eq!(
-            s.backend_name(),
-            "proc",
-            "proc ignores sched= (OS schedules)"
-        );
+        assert_eq!(s.rt, Backend::Proc { n: None });
         let s = Scenario::parse("n=4,t=1,rt=proc:4").unwrap();
-        assert_eq!(s.backend_name(), "proc:4");
-        assert!(s.is_proc());
-        assert!(!Scenario::honest(4, 1).is_proc());
+        assert_eq!(s.rt, Backend::Proc { n: Some(4) });
+        assert_eq!(s.to_string(), "n=4,t=1,sched=random,rt=proc:4");
         // Party-count mismatch on proc names both numbers.
         let mut bad = Scenario::honest(4, 1);
-        bad.rt = "proc:7".into();
+        bad.rt = Backend::Proc { n: Some(7) };
         let err = bad.validate().unwrap_err();
         assert!(err.contains("n=4"), "targeted message, got: {err}");
+        // A malformed party count is a parse error.
+        let err = Backend::parse("proc:x").unwrap_err();
+        assert!(err.contains("proc[:<n>]"), "{err}");
         // recover: on proc points at the supervisor.
         let mut bad = Scenario::honest(4, 1);
-        bad.rt = "proc".into();
+        bad.rt = Backend::Proc { n: None };
         bad.sched = "net:lat=1..4".into();
         bad.corruptions = vec![Corruption {
             party: PartyId(3),
@@ -1222,7 +1128,7 @@ mod tests {
         );
         // Adaptive plans are rejected on proc like on threaded.
         let mut bad = Scenario::honest(4, 1);
-        bad.rt = "proc".into();
+        bad.rt = Backend::Proc { n: None };
         bad.adaptive = Some(AdaptiveSpec {
             name: "pin".into(),
             args: "silent:3".into(),
@@ -1241,17 +1147,13 @@ mod tests {
     #[test]
     fn wire_cells_parse_and_misuse_gets_a_clear_error() {
         let s = Scenario::parse("n=4,t=1,corrupt=garbage:9@3,sched=lifo,rt=wire").unwrap();
-        assert_eq!(s.rt, "wire");
-        assert_eq!(s.backend_name(), "wire:lifo");
+        assert_eq!(s.rt, Backend::Wire);
         assert_eq!(
             s.to_string(),
             "n=4,t=1,corrupt=garbage:9@3,sched=lifo,rt=wire"
         );
-        // Hand-built scenario with scheduler jammed into rt=: validate()
-        // names the mistake instead of panicking at runtime() time.
-        let mut bad = Scenario::honest(4, 1);
-        bad.rt = "wire:lifo".into();
-        let err = bad.validate().unwrap_err();
+        // A scheduler jammed into rt=: the parser names the mistake.
+        let err = Backend::parse("wire:lifo").unwrap_err();
         assert!(err.contains("sched="), "targeted message, got: {err}");
     }
 
@@ -1288,7 +1190,7 @@ mod tests {
         // ... and rt=threaded has no virtual clock, whatever the sched=.
         for sched in ["random", "net:lat=1..4"] {
             s.sched = sched.into();
-            s.rt = "threaded:5".into();
+            s.rt = Backend::Threaded { poll_ms: Some(5) };
             let err = s.validate().unwrap_err();
             assert!(err.contains("virtual clock"), "{sched}: {err}");
             assert!(err.contains("rt=threaded"), "{sched}: {err}");
@@ -1332,19 +1234,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn backend_name_composition() {
-        let mut s = Scenario::honest(4, 1);
-        s.sched = "lifo".into();
-        assert_eq!(s.backend_name(), "sim:lifo");
-        s.rt = "sharded:4".into();
-        assert_eq!(s.backend_name(), "sharded:4:lifo");
-        s.rt = "threaded".into();
-        assert_eq!(s.backend_name(), "threaded");
-        s.rt = "proc".into();
-        assert_eq!(s.backend_name(), "proc");
     }
 
     #[test]
@@ -1427,7 +1316,7 @@ mod tests {
     #[test]
     fn deploy_rejects_mismatched_runtime() {
         let s = Scenario::honest(4, 1);
-        let mut rt = runtime_by_name("sim", NetConfig::new(7, 2, 0)).unwrap();
+        let mut rt = crate::runtime_by_name("sim", NetConfig::new(7, 2, 0)).unwrap();
         let err = s
             .deploy_episode(
                 rt.as_mut(),
@@ -1558,7 +1447,7 @@ mod tests {
             name: "pin".into(),
             args: "silent:3".into(),
         });
-        s.rt = "threaded".into();
+        s.rt = Backend::Threaded { poll_ms: None };
         let err = s.validate().unwrap_err();
         assert!(err.contains("rt=sim"), "targeted hint, got: {err}");
         assert!(err.contains("deterministic"), "{err}");

@@ -80,8 +80,6 @@ struct PartyState {
     /// Per-party emission counter (`seq = emit * n + party` stays globally
     /// unique and per-sender monotone).
     emit: u64,
-    /// Delivered `(seq, from, to)` tuples this epoch, if tracing.
-    trace: Option<Vec<(u64, PartyId, PartyId)>>,
     /// Flight-recorder events this epoch (flattened into the global sink
     /// at the barrier in party order, so the stream is a pure function of
     /// the logical schedule). `step` fields are party-local delivery
@@ -178,9 +176,6 @@ impl PartyState {
             }
             for _ in 0..run {
                 let env = self.inbox.take_slot(slot);
-                if let Some(trace) = &mut self.trace {
-                    trace.push((env.seq, env.from, env.to));
-                }
                 if let Some(vt) = vnow {
                     let kind = env.session.last().map_or("root", |t| t.kind);
                     self.metrics.on_virtual_delivery(kind, vt);
@@ -307,9 +302,6 @@ pub struct ShardedSimRuntime {
     epoch: u64,
     /// Total deliveries executed, across all shards and epochs.
     steps: u64,
-    /// Flattened delivery trace in logical `(epoch, party, index)` order,
-    /// if tracing.
-    trace: Option<Vec<(u64, PartyId, PartyId)>>,
     /// Structured flight recorder (see [`crate::trace`]): per-party event
     /// buffers flatten into this sink at every barrier, in party order.
     /// Observational only — never consulted by the schedule.
@@ -373,7 +365,6 @@ impl ShardedSimRuntime {
                     metrics: Metrics::default(),
                     outbox: (0..config.n).map(|_| Vec::new()).collect(),
                     emit: 0,
-                    trace: None,
                     events: None,
                     obs: None,
                     scratch: Vec::new(),
@@ -390,7 +381,6 @@ impl ShardedSimRuntime {
             recoveries: Vec::new(),
             epoch: 0,
             steps: 0,
-            trace: None,
             sink: None,
             channels: (0..config.n)
                 .map(|_| (0..config.n).map(|_| Vec::new()).collect())
@@ -415,23 +405,6 @@ impl ShardedSimRuntime {
     /// The number of worker shards (after clamping to `n`).
     pub fn shards(&self) -> usize {
         self.k
-    }
-
-    /// Enables recording of `(seq, from, to)` delivery tuples in logical
-    /// `(epoch, party, delivery index)` order, for determinism tests.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-        for ps in &mut self.parties {
-            ps.trace = Some(Vec::new());
-        }
-    }
-
-    /// The recorded delivery trace (empty unless [`enable_trace`] was
-    /// called).
-    ///
-    /// [`enable_trace`]: ShardedSimRuntime::enable_trace
-    pub fn trace(&self) -> &[(u64, PartyId, PartyId)] {
-        self.trace.as_deref().unwrap_or(&[])
     }
 
     /// Messages deliverable in the next epoch (diagnostics).
@@ -465,8 +438,8 @@ impl ShardedSimRuntime {
     /// senders in ascending party order, so the refill also moves O(n)
     /// handles per inbox rather than O(messages) envelopes. The merge
     /// itself runs shard-parallel: each worker refills only its own
-    /// parties' inboxes. Also flattens per-party traces into the logical
-    /// global trace.
+    /// parties' inboxes. Also flattens per-party flight-recorder events
+    /// into the global sink.
     fn merge_barrier(&mut self) {
         let n = self.config.n;
         let mut moved = 0;
@@ -495,13 +468,6 @@ impl ShardedSimRuntime {
                     scope.spawn(move || merge_into_shard(shard, channels));
                 }
             });
-        }
-        if let Some(global) = &mut self.trace {
-            for ps in &mut self.parties {
-                if let Some(local) = &mut ps.trace {
-                    global.append(local);
-                }
-            }
         }
         if let Some(sink) = &mut self.sink {
             for ps in &mut self.parties {
@@ -810,7 +776,7 @@ impl Runtime for ShardedSimRuntime {
         at_vtime: u64,
         session: SessionId,
         instance: Box<dyn Instance>,
-    ) -> bool {
+    ) {
         self.recoveries.push(RecoverPlan {
             party,
             at: at_vtime,
@@ -818,7 +784,6 @@ impl Runtime for ShardedSimRuntime {
             instance: Some(instance),
             revived: false,
         });
-        true
     }
 
     fn set_trace(&mut self, mode: TraceMode) {
@@ -836,12 +801,11 @@ impl Runtime for ShardedSimRuntime {
         self.sink.take()
     }
 
-    fn install_adaptive(&mut self, ctrl: SharedAdaptive) -> bool {
+    fn install_adaptive(&mut self, ctrl: SharedAdaptive) {
         for ps in &mut self.parties {
             ps.obs = Some(Vec::new());
         }
         self.adaptive = Some(ctrl);
-        true
     }
 
     fn adaptive_handle(&self) -> Option<SharedAdaptive> {
@@ -926,12 +890,12 @@ mod tests {
         // runs, regardless of thread interleaving.
         let trace = |seed: u64, k: usize| {
             let mut rt = ShardedSimRuntime::new(NetConfig::new(4, 1, seed), k);
-            rt.enable_trace();
+            rt.set_trace(TraceMode::Full);
             for p in 0..4 {
                 rt.spawn(PartyId(p), sid(), Box::new(Flood::new(3)));
             }
             rt.run(1_000_000);
-            rt.trace().to_vec()
+            crate::trace::delivery_schedule(&rt.take_trace().unwrap().snapshot())
         };
         let reference = trace(9, 1);
         assert!(!reference.is_empty());
@@ -1101,12 +1065,12 @@ mod tests {
                 ShardedSimRuntime::with_scheduler_factory(NetConfig::new(4, 1, 2), 2, |_| {
                     crate::scheduler_by_name(sched).unwrap()
                 });
-            rt.enable_trace();
+            rt.set_trace(TraceMode::Full);
             for p in 0..4 {
                 rt.spawn(PartyId(p), sid(), Box::new(Flood::new(3)));
             }
             rt.run(1_000_000);
-            rt.trace().to_vec()
+            crate::trace::delivery_schedule(&rt.take_trace().unwrap().snapshot())
         };
         assert_ne!(trace_with("fifo"), trace_with("lifo"));
         assert_eq!(trace_with("fifo"), trace_with("fifo"));

@@ -37,7 +37,6 @@ use crate::runtime::{
 };
 use crate::trace::{TraceEvent, TraceMode, TraceSink};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -50,9 +49,6 @@ struct Wire {
     /// flight recorder's `Send` and `Deliver` events.
     seq: u64,
 }
-
-/// Per-party outputs of a threaded run.
-pub type ThreadedOutputs = Vec<HashMap<SessionId, Payload>>;
 
 /// One worker's episode result: the persistent node handed back, plus
 /// thread-local metrics.
@@ -366,19 +362,6 @@ impl ThreadedRuntime {
         }
     }
 
-    /// All recorded outputs per party, cloned out of the persistent nodes
-    /// (accumulated across episodes).
-    pub fn outputs(&self) -> ThreadedOutputs {
-        self.nodes
-            .iter()
-            .map(|node| {
-                node.outputs()
-                    .map(|(s, v)| (s.clone(), v.clone()))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Immutable access to a party's persistent node (outputs, shun
     /// registry, …).
     pub fn node(&self, party: PartyId) -> &Node {
@@ -475,39 +458,6 @@ impl Runtime for ThreadedRuntime {
     }
 }
 
-/// Runs one protocol deployment over OS threads (function-style shorthand
-/// for [`ThreadedRuntime`]).
-///
-/// `spawns[p]` lists the `(session, instance)` pairs party `p` starts
-/// with. The function returns when the system is quiescent (no in-flight
-/// messages) — protocols that almost-surely terminate reach this state —
-/// and yields every party's recorded session outputs.
-///
-/// `poll` is the idle-polling interval used to detect quiescence
-/// (tests use a few milliseconds).
-///
-/// # Panics
-///
-/// Panics if `n == 0`, `n < 3t + 1`, if `spawns.len() != n`, or if a
-/// worker thread panics (protocol assertion failures propagate).
-pub fn run_threaded(
-    n: usize,
-    t: usize,
-    seed: u64,
-    spawns: Vec<Vec<(SessionId, Box<dyn Instance>)>>,
-    poll: Duration,
-) -> ThreadedOutputs {
-    assert_eq!(spawns.len(), n, "one spawn list per party");
-    let mut rt = ThreadedRuntime::with_poll(NetConfig::new(n, t, seed), poll);
-    for (p, instances) in spawns.into_iter().enumerate() {
-        for (session, instance) in instances {
-            rt.spawn(PartyId(p), session, instance);
-        }
-    }
-    rt.run(u64::MAX);
-    rt.outputs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,15 +487,15 @@ mod tests {
 
     #[test]
     fn hello_over_threads() {
-        let n = 4;
-        let spawns: Vec<Vec<(SessionId, Box<dyn Instance>)>> = (0..n)
-            .map(|_| vec![(sid(), Box::new(Hello { heard: 0 }) as Box<dyn Instance>)])
-            .collect();
-        let outputs = run_threaded(n, 1, 7, spawns, Duration::from_millis(5));
-        for (p, out) in outputs.iter().enumerate() {
+        let mut rt = ThreadedRuntime::with_poll(NetConfig::new(4, 1, 7), Duration::from_millis(5));
+        for p in 0..4 {
+            rt.spawn(PartyId(p), sid(), Box::new(Hello { heard: 0 }));
+        }
+        rt.run_to_quiescence();
+        for p in 0..4 {
             assert_eq!(
-                out.get(&sid()).and_then(|v| v.downcast_ref::<usize>()),
-                Some(&n),
+                rt.output_as::<usize>(PartyId(p), &sid()),
+                Some(&4),
                 "party {p}"
             );
         }
@@ -553,14 +503,11 @@ mod tests {
 
     #[test]
     fn empty_system_quiesces() {
-        let outputs = run_threaded(
-            4,
-            1,
-            0,
-            (0..4).map(|_| Vec::new()).collect(),
-            Duration::from_millis(2),
-        );
-        assert!(outputs.iter().all(|o| o.is_empty()));
+        let mut rt = ThreadedRuntime::new(NetConfig::new(4, 1, 0));
+        let report = rt.run_to_quiescence();
+        assert_eq!(report.stop, StopReason::Quiescent);
+        assert_eq!(report.metrics.sent, 0);
+        assert!((0..4).all(|p| rt.node(PartyId(p)).outputs().next().is_none()));
     }
 
     /// Ping-pong volley across threads terminates and counts correctly.
@@ -588,24 +535,19 @@ mod tests {
 
     #[test]
     fn ping_pong_over_threads() {
-        let spawns: Vec<Vec<(SessionId, Box<dyn Instance>)>> = (0..4)
-            .map(|p| {
-                vec![(
-                    sid(),
-                    Box::new(Volley {
-                        start: p == 0,
-                        bounces: 0,
-                    }) as Box<dyn Instance>,
-                )]
-            })
-            .collect();
-        let outputs = run_threaded(4, 1, 3, spawns, Duration::from_millis(5));
+        let mut rt = ThreadedRuntime::with_poll(NetConfig::new(4, 1, 3), Duration::from_millis(5));
+        for p in 0..4 {
+            let volley = Volley {
+                start: p == 0,
+                bounces: 0,
+            };
+            rt.spawn(PartyId(p), sid(), Box::new(volley));
+        }
+        rt.run_to_quiescence();
         // 51 messages bounce between P0 and P1; the terminal catcher
         // outputs its bounce count.
-        let total: u32 = outputs
-            .iter()
-            .filter_map(|o| o.get(&sid()))
-            .filter_map(|v| v.downcast_ref::<u32>())
+        let total: u32 = (0..4)
+            .filter_map(|p| rt.output_as::<u32>(PartyId(p), &sid()))
             .sum();
         assert!(total > 0, "someone must have caught the last ball");
     }
@@ -752,6 +694,13 @@ mod tests {
         for p in 0..4 {
             assert_eq!(rt.output_as::<usize>(PartyId(p), &sid()), Some(&4));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a deterministic backend")]
+    fn crash_recovery_is_not_a_threaded_capability() {
+        let mut rt = ThreadedRuntime::new(NetConfig::new(4, 1, 0));
+        rt.schedule_recover(PartyId(3), 50, sid(), Box::new(Hello { heard: 0 }));
     }
 
     #[test]

@@ -286,8 +286,9 @@ pub trait TraceSink: Send {
     fn recorded(&self) -> u64;
 }
 
-/// Plain buffers work as sinks (the sharded backend records into
-/// per-party `Vec`s and flattens them at merge barriers).
+/// Plain buffers work as sinks: the unbounded recorder of
+/// [`TraceMode::Full`] (for exports and the causal DAG), and the sharded
+/// backend's per-party buffers it flattens at merge barriers.
 impl TraceSink for Vec<TraceEvent> {
     fn record(&mut self, event: TraceEvent) {
         self.push(event);
@@ -354,32 +355,6 @@ impl TraceSink for RingRecorder {
     }
 }
 
-/// Unbounded recorder: keeps every event. Use for exports and the causal
-/// DAG; prefer [`RingRecorder`] for always-on forensics.
-#[derive(Debug, Clone, Default)]
-pub struct FullRecorder {
-    events: Vec<TraceEvent>,
-}
-
-impl FullRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        FullRecorder::default()
-    }
-}
-
-impl TraceSink for FullRecorder {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.clone()
-    }
-    fn recorded(&self) -> u64 {
-        self.events.len() as u64
-    }
-}
-
 /// How a backend should trace, set via
 /// [`Runtime::set_trace`](crate::Runtime::set_trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -390,7 +365,8 @@ pub enum TraceMode {
     Off,
     /// Bounded last-K ring buffer ([`RingRecorder`]).
     Ring(usize),
-    /// Unbounded recorder ([`FullRecorder`]).
+    /// Unbounded recorder (a plain `Vec<TraceEvent>`); prefer
+    /// [`TraceMode::Ring`] for always-on forensics.
     Full,
 }
 
@@ -400,9 +376,27 @@ impl TraceMode {
         match self {
             TraceMode::Off => None,
             TraceMode::Ring(k) => Some(Box::new(RingRecorder::new(k))),
-            TraceMode::Full => Some(Box::new(FullRecorder::new())),
+            TraceMode::Full => Some(Box::<Vec<TraceEvent>>::default()),
         }
     }
+}
+
+/// The delivery schedule of a recorded run: `(seq, from, to)` of every
+/// envelope taken off the queue (each `Deliver` or `Drop` event), in
+/// recorded order — what determinism checks compare.
+pub fn delivery_schedule(events: &[TraceEvent]) -> Vec<(u64, PartyId, PartyId)> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Deliver {
+                seq, from, party, ..
+            }
+            | TraceEvent::Drop {
+                seq, from, party, ..
+            } => Some((seq, from, party)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Log-bucketed histogram of causal delivery depths: bucket `i` counts

@@ -374,8 +374,9 @@ impl Runtime for WireRuntime {
         at_vtime: u64,
         session: SessionId,
         instance: Box<dyn Instance>,
-    ) -> bool {
-        Runtime::schedule_recover(&mut self.net, party, at_vtime, session, instance)
+    ) {
+        self.net
+            .schedule_recover(party, at_vtime, session, instance);
     }
 
     fn set_trace(&mut self, mode: crate::trace::TraceMode) {
@@ -386,9 +387,8 @@ impl Runtime for WireRuntime {
         self.net.take_trace()
     }
 
-    fn install_adaptive(&mut self, ctrl: crate::adaptive::SharedAdaptive) -> bool {
+    fn install_adaptive(&mut self, ctrl: crate::adaptive::SharedAdaptive) {
         self.net.install_adaptive(ctrl);
-        true
     }
 
     fn adaptive_handle(&self) -> Option<crate::adaptive::SharedAdaptive> {

@@ -1,9 +1,10 @@
 //! Property-based tests of the simulator: fairness, conservation,
 //! determinism, and session routing under randomized configurations.
 
+use aft_sim::trace::delivery_schedule;
 use aft_sim::{
     Context, Instance, NetConfig, PartyId, Payload, RandomScheduler, Scheduler, SessionId,
-    SessionTag, SimNetwork, StopReason, WindowScheduler,
+    SessionTag, SimNetwork, StopReason, TraceMode, WindowScheduler,
 };
 use proptest::prelude::*;
 
@@ -72,13 +73,13 @@ proptest! {
                 NetConfig::new(4, 1, s),
                 Box::new(WindowScheduler::new(window)),
             );
-            net.enable_trace();
+            net.set_trace(TraceMode::Full);
             for p in 0..4 {
                 let start = if p == 0 { Some((PartyId(3), 20)) } else { None };
                 net.spawn(PartyId(p), sid(), Box::new(PingPong { start, received: 0 }));
             }
             net.run(1_000_000);
-            net.trace().to_vec()
+            delivery_schedule(&net.take_trace().unwrap().snapshot())
         };
         prop_assert_eq!(run(seed), run(seed));
     }
@@ -180,7 +181,9 @@ proptest! {
 /// values must survive a display→parse round trip unchanged, and the
 /// matrix composition must produce parseable specs.
 mod scenario_props {
-    use aft_sim::{Corruption, FaultSpec, PartyId, Scenario, ScenarioMatrix, ALL_SCHEDULERS};
+    use aft_sim::{
+        Backend, Corruption, FaultSpec, PartyId, Scenario, ScenarioMatrix, ALL_SCHEDULERS,
+    };
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -243,7 +246,7 @@ mod scenario_props {
             corruptions,
             adaptive: None,
             sched: scheds[sched % scheds.len()].clone(),
-            rt: rts[rt % rts.len()].to_string(),
+            rt: Backend::parse(rts[rt % rts.len()]).unwrap(),
         }
     }
 
@@ -296,9 +299,10 @@ mod scenario_props {
 /// survive Display↔parse, the event queue is a pure function of
 /// `(seed, spec)`, and crash-recovery never double-delivers.
 mod net_props {
+    use aft_sim::trace::delivery_schedule;
     use aft_sim::{
         scheduler_by_name, Context, Instance, LatencyDist, NetConfig, NetSpec, PartitionSpec,
-        PartyId, Payload, Scenario, SessionId, SessionTag, SimNetwork, StopReason,
+        PartyId, Payload, Scenario, SessionId, SessionTag, SimNetwork, StopReason, TraceMode,
     };
     use proptest::prelude::*;
 
@@ -404,13 +408,13 @@ mod net_props {
                     NetConfig::new(4, 1, seed),
                     scheduler_by_name(&spec).expect("spec resolves"),
                 );
-                net.enable_trace();
+                net.set_trace(TraceMode::Full);
                 for p in 0..4 {
                     net.spawn(PartyId(p), sid(), Box::new(Flood { rounds: 3, sent: 0, heard: 0 }));
                 }
                 let report = net.run(1_000_000);
                 (
-                    net.trace().to_vec(),
+                    delivery_schedule(&net.take_trace().unwrap().snapshot()),
                     report.metrics.virtual_time,
                     report.metrics.sent,
                     report.stop,

@@ -9,9 +9,10 @@
 //! which runs identical deployments on every `Runtime` backend.
 
 use aft::core::{CoinFlip, CoinFlipOutput, CoinFlipParams, CoinKind, FairChoiceParams, Fba};
+use aft::sim::trace::delivery_schedule;
 use aft::sim::{
     scheduler_by_name, Instance, NetConfig, PartyId, SessionId, SessionTag, SilentInstance,
-    SimNetwork, StopReason,
+    SimNetwork, StopReason, TraceMode,
 };
 
 fn sid(kind: &'static str) -> SessionId {
@@ -171,7 +172,7 @@ fn whole_stack_deterministic_replay() {
             NetConfig::new(n, t, seed),
             scheduler_by_name("random").unwrap(),
         );
-        net.enable_trace();
+        net.set_trace(TraceMode::Full);
         for p in 0..n {
             net.spawn(
                 PartyId(p),
@@ -184,7 +185,7 @@ fn whole_stack_deterministic_replay() {
         }
         net.run(500_000_000);
         (
-            net.trace().to_vec(),
+            delivery_schedule(&net.take_trace().unwrap().snapshot()),
             net.output_as::<CoinFlipOutput>(PartyId(0), &sid("coin"))
                 .copied(),
         )

@@ -130,7 +130,7 @@ impl SimNetwork {
         SimNetwork {
             config,
             nodes,
-            pending: Pending::new(),
+            pending: Pending::for_scheduler(scheduler.as_ref()),
             scheduler,
             sched_rng,
             metrics: Metrics::default(),
@@ -660,6 +660,9 @@ impl SimNetwork {
             0
         } else {
             let i = self.scheduler.pick(&self.pending, &mut self.sched_rng);
+            // The scheduler has seen every new head; a forced pick above
+            // must not clear, since the scheduler has not.
+            self.pending.clear_fresh();
             debug_assert!(i < self.pending.len(), "scheduler index out of range");
             i.min(self.pending.len() - 1)
         };

@@ -25,6 +25,20 @@
 //! regrows. A pick that only shortens a batch does not touch the Fenwick
 //! tree at all.
 //!
+//! **Head journal**: a scheduler that remembers per-head state across
+//! picks (the `net:` virtual clock, which samples one arrival time per
+//! batch head) needs to know which heads are new without rescanning the
+//! queue. In a queue built [`for_scheduler`](Pending::for_scheduler)
+//! with a virtual clock, every batch that gains a head — a fresh batch,
+//! or a take that leaves the batch live — appends its slot to a journal
+//! read by absolute index
+//! ([`fresh_since`](Pending::fresh_since)/[`fresh_end`](Pending::fresh_end)).
+//! Backends [`clear_fresh`](Pending::clear_fresh) right after each
+//! scheduler pick, so the journal holds only what the next pick has not
+//! seen; a full drain drops it too. Each batch also carries a monotone
+//! birth ordinal: unlike arrival positions, which compaction renumbers,
+//! it is a stable key that sorts live batches in arrival order.
+//!
 //! [`Scheduler`]: crate::Scheduler
 
 use crate::ids::PartyId;
@@ -93,6 +107,17 @@ impl LiveIndex {
         }
     }
 
+    /// Number of live entries at 0-based positions `< pos`.
+    fn prefix(&self, pos: usize) -> u32 {
+        let mut i = pos;
+        let mut sum = 0;
+        while i > 0 {
+            sum += self.tree[i];
+            i &= i - 1;
+        }
+        sum
+    }
+
     /// 0-based position of the `k`-th live entry (`k ≥ 1`).
     fn select(&self, k: u32) -> usize {
         let cap = self.capacity();
@@ -134,8 +159,12 @@ struct Record {
     /// Envelopes remaining in the batch (≥ 1).
     count: u32,
     /// Current arrival position (kept current by compaction, which is
-    /// what makes [`BatchSlot`] handles stable).
-    pos: usize,
+    /// what makes [`BatchSlot`] handles stable). `u32` like slot ids, so
+    /// it packs with `count` and `birth` costs the record no size.
+    pos: u32,
+    /// Insertion ordinal, monotone across the queue's life: orders live
+    /// batches exactly as their arrival positions do, but never moves.
+    birth: u64,
     /// The batched envelopes.
     batch: Batch,
 }
@@ -159,7 +188,7 @@ impl Record {
 /// drains — unlike arrival indices, it survives pushes, compactions and
 /// removals of *other* batches, so a caller delivering a whole run
 /// resolves the arrival order once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BatchSlot(u32);
 
 /// The arrival-ordered in-flight queue.
@@ -213,6 +242,17 @@ pub struct Pending {
     ///
     /// [`compact_and_grow`]: Pending::compact_and_grow
     compact_scratch: Vec<u32>,
+    /// Birth ordinal of the next inserted batch.
+    next_birth: u64,
+    /// Whether the head journal is kept (see [`track_heads`]).
+    ///
+    /// [`track_heads`]: Pending::track_heads
+    track: bool,
+    /// Slots that gained a batch head since the last clear (may repeat,
+    /// may name since-drained slots).
+    fresh: Vec<BatchSlot>,
+    /// Absolute journal index of `fresh[0]`.
+    fresh_base: u64,
 }
 
 impl Pending {
@@ -258,6 +298,80 @@ impl Pending {
             .as_ref()
             .expect("live arrival entry points at an occupied slot")
             .meta()
+    }
+
+    /// The live record in `slot`, if any.
+    fn live(&self, slot: BatchSlot) -> Option<&Record> {
+        self.slots.get(slot.0 as usize)?.as_ref()
+    }
+
+    /// Creates an empty queue for `scheduler`. A scheduler with a virtual
+    /// clock samples one arrival per batch head, so its queue keeps the
+    /// head journal; order-only schedulers never pay for it.
+    pub fn for_scheduler(scheduler: &dyn crate::Scheduler) -> Self {
+        let mut q = Pending::new();
+        if scheduler.virtual_now().is_some() {
+            q.track_heads();
+        }
+        q
+    }
+
+    /// Starts keeping the head journal. Call before the first push.
+    pub(crate) fn track_heads(&mut self) {
+        self.track = true;
+    }
+
+    /// Journal entries at absolute index `cursor` and later: the slots
+    /// that gained a batch head since then (entries cleared meanwhile are
+    /// skipped). An entry may repeat or name a slot that has since
+    /// drained; resolve each with [`head_seq_of`](Pending::head_seq_of).
+    pub fn fresh_since(&self, cursor: u64) -> &[BatchSlot] {
+        let skip = cursor.saturating_sub(self.fresh_base) as usize;
+        &self.fresh[skip.min(self.fresh.len())..]
+    }
+
+    /// Absolute journal index one past the newest entry — the cursor a
+    /// reader stores after consuming [`fresh_since`](Pending::fresh_since).
+    pub fn fresh_end(&self) -> u64 {
+        self.fresh_base + self.fresh.len() as u64
+    }
+
+    /// Drops the journal's entries (absolute indices keep counting).
+    /// Backends call this right after every scheduler pick.
+    pub fn clear_fresh(&mut self) {
+        self.fresh_base += self.fresh.len() as u64;
+        self.fresh.clear();
+    }
+
+    /// Head sequence number of the batch in `slot`, or `None` once the
+    /// batch has drained (the slot may since hold another batch, whose
+    /// head seq then differs: sequence numbers are unique).
+    pub fn head_seq_of(&self, slot: BatchSlot) -> Option<u64> {
+        self.live(slot).map(|r| r.head().seq)
+    }
+
+    /// Birth ordinal of the live batch in `slot` (`None` if drained).
+    /// Live batches' births sort exactly as their arrival indices.
+    pub fn birth_of(&self, slot: BatchSlot) -> Option<u64> {
+        self.live(slot).map(|r| r.birth)
+    }
+
+    /// Arrival-order index of the live batch `slot` — the inverse of
+    /// [`slot_of`](Pending::slot_of), in O(log batches).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` does not refer to a live batch.
+    pub fn rank_of(&self, slot: BatchSlot) -> usize {
+        let pos = self
+            .live(slot)
+            .expect("batch handle refers to a live batch")
+            .pos as usize;
+        if pos == self.head {
+            0
+        } else {
+            self.index.prefix(pos) as usize
+        }
     }
 
     /// All batch metadata in arrival order (oldest first).
@@ -377,7 +491,13 @@ impl Pending {
             self.compact_and_grow();
         }
         let pos = self.arrival.len();
-        let record = Record { count, pos, batch };
+        let record = Record {
+            count,
+            pos: pos as u32,
+            birth: self.next_birth,
+            batch,
+        };
+        self.next_birth += 1;
         let (from, to, born) = {
             let head = record.head();
             (head.from, head.to, head.born_step)
@@ -395,6 +515,9 @@ impl Pending {
         self.arrival.push(slot);
         self.alive.push(true);
         self.index.add(pos, 1);
+        if self.track {
+            self.fresh.push(BatchSlot(slot));
+        }
         self.live += 1;
         self.tail = Some(slot);
         self.tail_pair = (from, to);
@@ -494,8 +617,11 @@ impl Pending {
                 // count (and, at the head, the inline age mirror) moves.
                 let env = run.pop_front().expect("len checked");
                 entry.count -= 1;
-                if entry.pos == self.head {
+                if entry.pos as usize == self.head {
                     self.head_born = run.front().expect("len checked").born_step;
+                }
+                if self.track {
+                    self.fresh.push(BatchSlot(slot as u32));
                 }
                 return env;
             }
@@ -504,6 +630,7 @@ impl Pending {
         let Record { pos, batch, .. } = self.slots[slot]
             .take()
             .expect("batch handle refers to a live batch");
+        let pos = pos as usize;
         let env = match batch {
             Batch::One(env) => env,
             Batch::Many(mut run) => {
@@ -523,10 +650,12 @@ impl Pending {
         self.live -= 1;
         if self.live == 0 {
             // Fully drained (every sharded epoch ends here): the Fenwick
-            // tree is all zeros again, so resetting is free.
+            // tree is all zeros again, so resetting is free, and every
+            // journal entry names a drained slot.
             self.arrival.clear();
             self.alive.clear();
             self.head = 0;
+            self.clear_fresh();
         } else if pos == self.head {
             while !self.alive[self.head] {
                 self.head += 1;
@@ -582,7 +711,7 @@ impl Pending {
             self.slots[slot as usize]
                 .as_mut()
                 .expect("live arrival entry points at an occupied slot")
-                .pos = new_pos;
+                .pos = new_pos as u32;
         }
         self.alive.clear();
         self.alive.resize(lives.len(), true);
@@ -765,6 +894,39 @@ mod tests {
         assert_eq!(seqs, vec![0, 2, 3]);
     }
 
+    #[test]
+    fn head_journal_names_every_new_head() {
+        let mut q = Pending::new();
+        q.push(env(0, 1, 0));
+        assert!(q.fresh_since(0).is_empty(), "kept only when tracking");
+
+        let mut q = Pending::new();
+        q.track_heads();
+        q.push(env(0, 1, 0));
+        q.push(env(0, 1, 1)); // merges: still one head
+        q.push(env(2, 1, 2));
+        let (s0, s1) = (q.slot_of(0), q.slot_of(1));
+        assert_eq!(q.fresh_since(0), &[s0, s1]);
+        assert_eq!(q.fresh_end(), 2);
+        assert!(q.birth_of(s0) < q.birth_of(s1), "births follow arrival");
+        q.clear_fresh();
+        assert!(q.fresh_since(0).is_empty());
+        assert_eq!(q.fresh_end(), 2, "absolute indices keep counting");
+        // A take that leaves the batch live journals its new head.
+        assert_eq!(q.take(0).seq, 0);
+        assert_eq!(q.fresh_since(2), &[s0]);
+        assert_eq!(q.head_seq_of(s0), Some(1));
+        // Draining the batch journals nothing and retires the handle.
+        assert_eq!(q.take(0).seq, 1);
+        assert_eq!(q.fresh_since(2), &[s0]);
+        assert_eq!((q.head_seq_of(s0), q.birth_of(s0)), (None, None));
+        assert_eq!(q.rank_of(s1), 0);
+        // A full drain drops the journal.
+        q.take(0);
+        assert!(q.fresh_since(0).is_empty());
+        assert_eq!(q.fresh_end(), 3);
+    }
+
     /// Differential test of the batched Fenwick-indexed view against a
     /// naive batch model, across interleaved pushes (merging and not),
     /// arbitrary-index takes and full drains (compactions included).
@@ -800,6 +962,7 @@ mod tests {
                     (*f, *t, seqs[0], seqs.len()),
                     "round {round}"
                 );
+                assert_eq!(q.rank_of(q.slot_of(i)), i, "round {round}");
                 assert_eq!(q.take(i).seq, seqs.remove(0), "round {round}");
                 if seqs.is_empty() {
                     if tail_live && i == model.len() - 1 {

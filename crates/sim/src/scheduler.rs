@@ -29,6 +29,14 @@ use crate::queue::MsgMeta;
 ///
 /// `pending` is never empty when `pick` is called. The returned index is
 /// an arrival-order position and must be `< pending.len()`.
+///
+/// Backends deliver the picked batch's head before the next pick, and
+/// call [`Pending::clear_fresh`] right after every `pick` (never after a
+/// fairness-cap forced delivery, which the scheduler does not see). Each
+/// queue is built with [`Pending::for_scheduler`]: for a scheduler with a
+/// virtual clock ([`virtual_now`](Scheduler::virtual_now) is `Some`) it
+/// journals new batch heads, so the scheduler reads the heads that are
+/// new since its last pick instead of rescanning the queue.
 pub trait Scheduler: Send {
     /// Chooses the arrival-order index of the next message to deliver.
     fn pick(&mut self, pending: &Pending, rng: &mut ChaCha12Rng) -> usize;

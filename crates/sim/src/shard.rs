@@ -151,6 +151,7 @@ impl PartyState {
         let mut done = 0;
         while !self.inbox.is_empty() && done < limit {
             let idx = self.scheduler.pick(&self.inbox, &mut self.rng);
+            self.inbox.clear_fresh();
             debug_assert!(idx < self.inbox.len(), "scheduler index out of range");
             let idx = idx.min(self.inbox.len() - 1);
             let slot = self.inbox.slot_of(idx);
@@ -359,7 +360,7 @@ impl ShardedSimRuntime {
                 scheduler.configure(&config);
                 PartyState {
                     node: build_node(&config, p),
-                    inbox: Pending::new(),
+                    inbox: Pending::for_scheduler(scheduler.as_ref()),
                     scheduler,
                     rng: shard_sched_rng(config.seed, p),
                     metrics: Metrics::default(),

@@ -825,3 +825,128 @@ fn violation_repro_bundle_roundtrip(spec: &str, is_net: bool) {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// FNV-1a over each delivery's `(seq, from, to, vtime)` in trace order.
+/// Unlike a cell fingerprint — which folds outputs and counters, so
+/// different net specs can share one — this pins the exact virtual
+/// schedule: which message lands when.
+fn delivery_schedule_hash(events: &[aft::sim::TraceEvent]) -> (u64, usize) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut deliveries = 0;
+    for e in events {
+        if let aft::sim::TraceEvent::Deliver {
+            party,
+            from,
+            seq,
+            vtime,
+            ..
+        } = e
+        {
+            deliveries += 1;
+            for word in [
+                *seq,
+                from.0 as u64,
+                party.0 as u64,
+                vtime.unwrap_or(u64::MAX),
+            ] {
+                for b in word.to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+    }
+    (h, deliveries)
+}
+
+/// The `net:` schedules themselves are pinned: every delivery's
+/// `(seq, from, to, vtime)` on one cell per spec feature — uniform and
+/// exponential latency, link failures, sampled and explicit partitions
+/// with and without a heal, crash-recovery and an adaptive adversary —
+/// across `sim`, `wire` and `sharded:2`, against hashes recorded from
+/// the reference arrival scan. Any change to arrival sampling, its RNG
+/// draw order or the earliest-arrival tie-break moves a hash.
+#[test]
+fn net_schedules_are_pinned_delivery_by_delivery() {
+    use aft::core::scenarios::run_cell_traced;
+    use aft::sim::TraceMode;
+    let registry = standard_registry();
+    for (kind, spec, want_hash, want_deliveries) in [
+        (
+            StackKind::Ba,
+            "n=7,t=2,sched=net:lat=1..20,partition=p50,heal=200,rt=sim",
+            0xfd28_e06e_4199_f2af,
+            2_590,
+        ),
+        (
+            StackKind::SvssChain,
+            "n=7,t=2,sched=net:lat=exp:5,fail=p10,rt=wire",
+            0xdd3d_fa30_ccae_28c4,
+            637,
+        ),
+        (
+            StackKind::Ba,
+            "n=7,t=2,sched=net:lat=1..8,partition=3+5,rt=sharded:2",
+            0xd032_3787_4125_89d8,
+            2_989,
+        ),
+        (
+            StackKind::Ba,
+            "n=7,t=2,corrupt=recover:120@6,sched=net:lat=exp:5,partition=3+5,heal=80,rt=wire",
+            0xbc5b_2c3b_1732_1dfa,
+            2_037,
+        ),
+        (
+            StackKind::SvssChain,
+            "n=10,t=3,corrupt=silent@9,sched=net:lat=1..8,fail=p25,partition=p100,heal=40,rt=sharded:2",
+            0xeb4f_2754_6f08_4d83,
+            1_350,
+        ),
+        (
+            StackKind::SvssChain,
+            "n=7,t=2,corrupt=adaptive:core-candidates:50@*,sched=net:lat=1..8,rt=sim",
+            0xd882_7729_e6be_1d84,
+            609,
+        ),
+        (
+            StackKind::CommonSubset,
+            "n=4,t=1,sched=net:lat=1..12,partition=p50,heal=200,rt=sharded:2",
+            0x3f69_5484_83b2_d88b,
+            2_384,
+        ),
+    ] {
+        let scenario = Scenario::parse(spec).unwrap_or_else(|| panic!("{spec:?} must parse"));
+        let (report, events) = run_cell_traced(kind, &scenario, 3, &registry, TraceMode::Full);
+        assert!(report.violations.is_empty(), "{spec}: {:?}", report.violations);
+        let (hash, deliveries) = delivery_schedule_hash(&events);
+        assert_eq!(
+            (hash, deliveries),
+            (want_hash, want_deliveries),
+            "{} {spec}: net schedule moved",
+            kind.label()
+        );
+    }
+}
+
+/// The benchmark's `ba16-net` reference run (BA, n=16 under
+/// `net:lat=1..8`, seed 7) reaches its recorded work: fingerprint,
+/// delivery count and final virtual time.
+#[test]
+fn ba16_net_reaches_its_recorded_work() {
+    use aft::core::scenarios::run_cell_instrumented;
+    use aft::sim::TraceMode;
+    let registry = standard_registry();
+    let scenario = Scenario::parse("n=16,sched=net:lat=1..8").unwrap();
+    let outcome = run_cell_instrumented(
+        StackKind::Ba,
+        &scenario,
+        7,
+        &registry,
+        2_000_000_000,
+        TraceMode::Off,
+    );
+    assert!(outcome.report.violations.is_empty());
+    assert_eq!(outcome.report.fingerprint, 0x8bb5_a33b_c4e8_5402);
+    assert_eq!(outcome.report.delivered, 34_048);
+    assert_eq!(outcome.metrics.virtual_time, 64);
+}
